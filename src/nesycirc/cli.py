@@ -21,8 +21,7 @@ from .compose import load_manifest
 from .errors import (CarrierError, CircuitError, CompositionError, DimacsError,
                      FormulaError, StructureError)
 from .formula import make_name_table, parse_dimacs, parse_formula, to_cnf, to_nnf
-from .layered import (LeafBatch, backward, evaluate, evaluate_recursive,
-                      layer_summary, layerize)
+from .layered import LeafBatch, backward, evaluate, layer_summary, layerize
 from .semantics import evaluate_fuzzy, fuzzy_value_and_grad, get_structure
 from .tasks import bench, read_weight_rows
 
@@ -64,7 +63,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", metavar="FILE", required=True)
     p.add_argument("--semantics", default="probability", metavar="TAG")
     p.add_argument("--batch", action="store_true",
-                   help="one layered pass over all rows instead of per-row recursion")
+                   help="accepted for compatibility; eval always runs one layered pass")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grad", help="per-variable gradients, one row per weight row")
@@ -200,11 +199,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError(f"semantics {s.name!r} evaluates circuits; pass --circuit")
     c = _checked(_load_circuit_file(args.circuit), args.circuit)
     batch = _probability_batch(c, rows, args.weights)
-    if args.batch:
-        values = evaluate(layerize(c), batch, s)
-    else:
-        values = evaluate_recursive(c, batch, s)
-    for v in values:
+    for v in evaluate(layerize(c), batch, s):
         print(_FMT(v))
     return 0
 

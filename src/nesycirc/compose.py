@@ -15,14 +15,13 @@ validation and gathering treat trailing axes as the symbolic ones.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import CompositionError, IncompatibleStructures, StructureError
-from .semantics import get_structure, transform, transform_pairs
+from .errors import CompositionError, IncompatibleStructures
+from .semantics import canonical_tag, transform, transform_pairs
 
 __all__ = [
     "SymTensor", "AnnotatedModule", "Violation", "Manifest", "validate",
@@ -71,13 +70,9 @@ class SymTensor:
             seen.add(s)
         object.__setattr__(self, "symbols", flat)
         object.__setattr__(self, "shape", shape)
-        try:
-            canonical = get_structure(self.structure).name
-        except StructureError:
-            # factory-registered fuzzy tags are not in the built-in registry;
-            # they keep their name and validate against the [0, 1] carrier
-            canonical = self.structure
-        object.__setattr__(self, "structure", canonical)
+        # factory-registered fuzzy tags are not in the built-in registry;
+        # they keep their name and validate against the [0, 1] carrier
+        object.__setattr__(self, "structure", canonical_tag(self.structure))
 
     @property
     def size(self) -> int:
@@ -411,15 +406,14 @@ def chain(m1: AnnotatedModule, m2: AnnotatedModule, *, name: str | None = None) 
                            Manifest(cname, tuple(records)))
 
 
-def wire_dag(modules, external_inputs, *, name: str = "dag",
-             parallel: bool = False) -> AnnotatedModule:
+def wire_dag(modules, external_inputs, *, name: str = "dag") -> AnnotatedModule:
     """Wire modules into a DAG by their symbolic dependencies.
 
     Every consumed symbol must be produced exactly once, by a module output
-    or an external input tensor. Execution follows topological generations;
-    modules within a generation are independent and run concurrently when
-    ``parallel`` is set (results are identical either way). Output tensors
-    whose symbols are not all consumed internally become composite outputs.
+    or an external input tensor. Execution runs the topological generations
+    in order, and the modules of a generation in name order, one at a time.
+    Output tensors whose symbols are not all consumed internally become
+    composite outputs.
     """
     mods = sorted(modules, key=lambda m: m.name)
     if len({m.name for m in mods}) != len(mods):
@@ -477,17 +471,9 @@ def wire_dag(modules, external_inputs, *, name: str = "dag",
         env: dict = {("x", i): np.asarray(v, dtype=np.float64)
                      for i, v in enumerate(values)}
 
-        def run_one(n):
-            m = by_name[n]
-            return n, _run(m, tuple(plan.run(env) for plan in plans[n]))
-
         for gen in generations:
-            if parallel and len(gen) > 1:
-                with ThreadPoolExecutor(max_workers=len(gen)) as pool:
-                    results = list(pool.map(run_one, gen))
-            else:
-                results = [run_one(n) for n in gen]
-            for n, outs in results:
+            for n in gen:
+                outs = _run(by_name[n], tuple(plan.run(env) for plan in plans[n]))
                 for i, out in enumerate(outs):
                     env[(n, i)] = out
         return tuple(env[key] for key in sink_keys)

@@ -26,7 +26,8 @@ from .compose import AnnotatedModule, Manifest, SymTensor, fresh_symbol
 from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
 from .layered import LayeredCircuit, LeafBatch, evaluate, layerize
-from .semantics import Structure, builtin_structures, evaluate_fuzzy, fuzzy_structure_from_ops, get_structure
+from .semantics import (Structure, builtin_structures, canonical_tag, evaluate_fuzzy,
+                        fuzzy_structure_from_ops, get_structure)
 
 __all__ = [
     "Aggregator", "Predicate", "EqualityPredicate", "ModuleFactory",
@@ -141,7 +142,7 @@ class ModuleFactory:
     def resolve_structure(self, tag) -> Structure:
         if isinstance(tag, Structure):
             return tag
-        s = self._structures.get("log_probability" if tag == "log" else tag)
+        s = self._structures.get(canonical_tag(tag))
         if s is None:
             raise StructureError(f"unknown structure tag {tag!r}")
         return s

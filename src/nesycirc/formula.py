@@ -178,9 +178,12 @@ def _normalize_clause(lits: list[int]) -> tuple[int, ...] | None:
 def serialize_dimacs(cnf: CNF) -> str:
     """Render a CNF as DIMACS text.
 
-    Parsing the result yields an identical CNF. The unsat marker, which has
-    no direct DIMACS spelling, is rendered as a contradictory pair of unit
-    clauses over variable 1.
+    Parsing the result gives back the variable count and clauses, with two
+    exceptions. ``aux_vars`` are not written (no ``c aux`` line), so they
+    parse back as ordinary input variables. The unsat marker, which has no
+    direct DIMACS spelling, is rendered as a contradictory pair of unit
+    clauses over variable 1, so it parses back as the clauses ``(1,), (-1,)``
+    with ``unsat`` false and at least one variable.
     """
     if cnf.unsat:
         nv = max(1, cnf.num_vars)
@@ -607,24 +610,30 @@ def eval_assignment(f: CNF | Formula, assignment) -> bool:
         for v in range(1, f.num_vars + 1):
             if v not in a and v not in f.aux_vars:
                 raise ValueError(f"missing assignment for variable {v}")
-        residual: list[tuple[int, ...]] = []
-        for clause in f.clauses:
-            keep: list[int] = []
-            satisfied = False
-            for lit in clause:
-                val = a.get(abs(lit))
-                if val is None:
-                    keep.append(lit)
-                elif (lit > 0) == val:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not keep:
-                return False
-            residual.append(tuple(keep))
-        return _mini_sat(residual)
+        residual = _residual(f.clauses, a)
+        return residual is not None and _mini_sat(residual)
     return _eval_formula(f, a)
+
+
+def _residual(clauses, a: dict[int, bool]) -> list[tuple[int, ...]] | None:
+    """The clauses left over the unassigned variables, or None on a conflict."""
+    residual: list[tuple[int, ...]] = []
+    for clause in clauses:
+        keep: list[int] = []
+        satisfied = False
+        for lit in clause:
+            val = a.get(abs(lit))
+            if val is None:
+                keep.append(lit)
+            elif (lit > 0) == val:
+                satisfied = True
+                break
+        if satisfied:
+            continue
+        if not keep:
+            return None
+        residual.append(tuple(keep))
+    return residual
 
 
 def _eval_formula(f: Formula, a: dict[int, bool]) -> bool:
@@ -651,44 +660,65 @@ def _eval_formula(f: Formula, a: dict[int, bool]) -> bool:
 
 def _mini_sat(clauses: list[tuple[int, ...]]) -> bool:
     """Tiny DPLL satisfiability check for small residual clause sets."""
-    if not clauses:
-        return True
     while True:
+        if not clauses:
+            return True
         unit = next((c[0] for c in clauses if len(c) == 1), None)
         if unit is None:
             break
-        nxt: list[tuple[int, ...]] = []
-        for c in clauses:
-            if unit in c:
-                continue
-            if -unit in c:
-                c = tuple(l for l in c if l != -unit)
-                if not c:
-                    return False
-            nxt.append(c)
-        clauses = nxt
-        if not clauses:
-            return True
+        clauses = _assign(clauses, unit)
+        if clauses is None:
+            return False
     lit = clauses[0][0]
     for branch in (lit, -lit):
-        reduced: list[tuple[int, ...]] = []
-        ok = True
-        for c in clauses:
-            if branch in c:
-                continue
-            if -branch in c:
-                c = tuple(l for l in c if l != -branch)
-                if not c:
-                    ok = False
-                    break
-            reduced.append(c)
-        if ok and _mini_sat(reduced):
+        reduced = _assign(clauses, branch)
+        if reduced is not None and _mini_sat(reduced):
             return True
     return False
 
 
-def _assignment_matrix(n: int) -> np.ndarray:
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]] | None:
+    """Set ``lit`` true: drop satisfied clauses, shorten the rest."""
+    out: list[tuple[int, ...]] = []
+    for c in clauses:
+        if lit in c:
+            continue
+        if -lit in c:
+            c = tuple(l for l in c if l != -lit)
+            if not c:
+                return None
+        out.append(c)
+    return out
+
+
+def _count_extensions(clauses: list[tuple[int, ...]], free: int) -> int:
+    """Models of ``clauses`` over ``free`` unassigned variables (DPLL count).
+
+    ``free`` includes the variables the clauses no longer mention; each of
+    those doubles the count.
+    """
+    while True:
+        if not clauses:
+            return 1 << free
+        unit = next((c[0] for c in clauses if len(c) == 1), None)
+        if unit is None:
+            break
+        clauses = _assign(clauses, unit)
+        if clauses is None:
+            return 0
+        free -= 1
+    lit = clauses[0][0]
+    total = 0
+    for branch in (lit, -lit):
+        reduced = _assign(clauses, branch)
+        if reduced is not None:
+            total += _count_extensions(reduced, free - 1)
+    return total
+
+
+def _assignment_matrix(start: int, stop: int, n: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of the assignment table; bit i is variable i+1."""
+    return ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
 def _sat_mask(cnf: CNF, X: np.ndarray) -> np.ndarray:
@@ -706,26 +736,64 @@ def brute_force_wmc(cnf: CNF, var_probs) -> float:
 
     ``var_probs`` gives the positive-literal weight per non-auxiliary
     variable (the negative literal gets one minus that); auxiliaries weigh
-    one on both polarities. Guarded to ``num_vars <= 26``.
+    one on both polarities, so an input assignment counts once per
+    satisfying extension to the auxiliaries. Guarded to ``n_inputs <= 26``.
+
+    Small CNFs are enumerated over every variable as a boolean table, in
+    blocks of ``2**16`` rows so memory stays bounded. A CNF with many
+    auxiliaries (a Tseitin encoding of a deep formula) and at most 16 inputs
+    is enumerated over its inputs only, counting the extensions of each
+    input assignment by DPLL; that also covers encodings past the guard.
     """
-    if cnf.num_vars > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration guard: {cnf.num_vars} variables exceeds {ENUMERATION_GUARD}")
+    if cnf.n_inputs > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration guard: {cnf.n_inputs} input variables exceeds {ENUMERATION_GUARD}")
     if cnf.unsat:
         return 0.0
     p = np.asarray(var_probs, dtype=float).reshape(-1)
     if p.shape[0] != cnf.n_inputs:
         raise ValueError(f"expected {cnf.n_inputs} probabilities, got {p.shape[0]}")
+    n_aux = len(cnf.aux_vars)
+    if cnf.n_inputs <= _INPUT_ROW_LIMIT and (
+            n_aux > _DENSE_AUX_LIMIT or cnf.num_vars > ENUMERATION_GUARD):
+        return _wmc_over_inputs(cnf, p)
+    if cnf.num_vars > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration guard: {cnf.num_vars} variables exceeds {ENUMERATION_GUARD}")
     n = cnf.num_vars
-    X = _assignment_matrix(n)
-    sat = _sat_mask(cnf, X)
-    w = np.ones(X.shape[0], dtype=float)
-    for v in range(1, n + 1):
-        if v in cnf.aux_vars:
+    total = 0.0
+    for start in range(0, 1 << n, _ROWS_PER_BLOCK):
+        X = _assignment_matrix(start, min(start + _ROWS_PER_BLOCK, 1 << n), n)
+        sat = _sat_mask(cnf, X)
+        w = np.ones(X.shape[0], dtype=float)
+        for v in range(1, n + 1):
+            if v in cnf.aux_vars:
+                continue
+            col = X[:, v - 1]
+            pv = p[v - 1]
+            w *= np.where(col == 1, pv, 1.0 - pv)
+        total += float(w[sat].sum())
+    return total
+
+
+_ROWS_PER_BLOCK = 1 << 16
+_DENSE_AUX_LIMIT = 12
+_INPUT_ROW_LIMIT = 16
+
+
+def _wmc_over_inputs(cnf: CNF, p: np.ndarray) -> float:
+    inputs = [v for v in range(1, cnf.num_vars + 1) if v not in cnf.aux_vars]
+    total = 0.0
+    for bits in range(1 << len(inputs)):
+        a = {v: bool((bits >> i) & 1) for i, v in enumerate(inputs)}
+        residual = _residual(cnf.clauses, a)
+        if residual is None:
             continue
-        col = X[:, v - 1]
-        pv = p[v - 1]
-        w *= np.where(col == 1, pv, 1.0 - pv)
-    return float(w[sat].sum())
+        count = _count_extensions(residual, len(cnf.aux_vars))
+        if count:
+            w = 1.0
+            for i, v in enumerate(inputs):
+                w *= p[i] if a[v] else 1.0 - p[i]
+            total += w * count
+    return total
 
 
 def brute_force_models(f: CNF | Formula, num_vars: int | None = None) -> list[dict[int, bool]]:

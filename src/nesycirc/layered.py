@@ -11,7 +11,9 @@ Supported structures are the circuit-safe ones: ``probability`` (weighted
 model counting), ``boolean`` (satisfaction indicator on 0/1 weights), and
 ``log_probability`` (log-WMC; sum layers use max-shifted log-sum-exp and an
 all-minus-infinity segment stays minus infinity rather than going NaN).
-Fuzzy structures are refused here; see :mod:`nesycirc.semantics`.
+The forward and reverse loops are written once and take every kernel from
+the structure's :class:`~nesycirc.semantics.Semiring`. Fuzzy structures are
+refused here; see :mod:`nesycirc.semantics`.
 
 The reverse pass returns d(value)/d(p_v) per batch row for the non-auxiliary
 variables. Under the log structure the gradient is still taken with respect
@@ -28,7 +30,7 @@ import numpy as np
 
 from .compiler import Circuit, check_properties
 from .errors import CarrierError, CircuitError, StructureError
-from .semantics import get_structure
+from .semantics import Semiring, get_structure
 
 __all__ = [
     "Layer", "LayeredCircuit", "LeafBatch", "layerize", "evaluate",
@@ -196,7 +198,7 @@ class LeafBatch:
         if bad.any():
             b, j = map(int, np.argwhere(bad)[0])
             raise CarrierError(
-                f"batch row {b}, variable {j + 1}: value {p[b, j]!r} outside [0, 1]")
+                f"batch row {b}, variable {j + 1}: value {float(p[b, j])} outside [0, 1]")
         aux = frozenset(aux_vars)
         n_inputs = p.shape[1]
         if num_vars is None:
@@ -226,72 +228,47 @@ class LeafBatch:
             if bad.any():
                 b, j = map(int, np.argwhere(bad)[0])
                 raise CarrierError(
-                    f"batch row {b}, variable {j + 1}: {name} weight {w[b, j]!r} is not >= 0")
+                    f"batch row {b}, variable {j + 1}: {name} weight {float(w[b, j])} is not >= 0")
         return cls(num_vars=wp.shape[1], aux_vars=frozenset(aux_vars), pos=wp, neg=wn)
 
 
-def _check_compatible(lc: LayeredCircuit, batch: LeafBatch, s) -> None:
+def _check_compatible(c: LayeredCircuit | Circuit, batch: LeafBatch, s) -> None:
     if not s.circuit_safe:
         raise StructureError(
             f"structure {s.name!r} evaluates on the formula tree, not compiled circuits")
-    if batch.num_vars != lc.num_vars:
+    if batch.num_vars != c.num_vars:
         raise ValueError(f"batch covers {batch.num_vars} variables, "
-                         f"circuit declares {lc.num_vars}")
+                         f"circuit declares {c.num_vars}")
     if s.name == "boolean":
         for name, w in (("positive", batch.pos), ("negative", batch.neg)):
             bad = (w != 0.0) & (w != 1.0)
             if bad.any():
                 b, j = map(int, np.argwhere(bad)[0])
                 raise CarrierError(f"batch row {b}, variable {j + 1}: {name} weight "
-                                   f"{w[b, j]!r} is not a boolean 0/1")
+                                   f"{float(w[b, j])} is not a boolean 0/1")
 
 
-def _leaf_values(lc: LayeredCircuit, batch: LeafBatch, log: bool) -> np.ndarray:
-    pos, neg = batch.pos, batch.neg
-    if log:
-        with np.errstate(divide="ignore"):
-            pos, neg = np.log(pos), np.log(neg)
+def _leaf_values(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
     vals = np.empty((lc.n_leaves, batch.batch_size))
     ip = np.nonzero(lc.leaf_sign == 1)[0]
     im = np.nonzero(lc.leaf_sign == -1)[0]
     ic = np.nonzero(lc.leaf_sign == 0)[0]
     if ip.size:
-        vals[ip] = pos[:, lc.leaf_var[ip] - 1].T
+        vals[ip] = batch.pos[:, lc.leaf_var[ip] - 1].T
     if im.size:
-        vals[im] = neg[:, lc.leaf_var[im] - 1].T
+        vals[im] = batch.neg[:, lc.leaf_var[im] - 1].T
     if ic.size:
-        const = lc.leaf_const[ic]
-        if log:
-            with np.errstate(divide="ignore"):
-                const = np.log(const)
-        vals[ic] = const[:, None]
-    return vals
+        vals[ic] = lc.leaf_const[ic][:, None]
+    return sr.leaf(vals)
 
 
-def _segmented_logsumexp(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    mx = np.maximum.reduceat(g, off, axis=0)
-    finite = ~np.isneginf(mx)
-    shift = np.where(finite, mx, 0.0)
-    total = np.add.reduceat(np.exp(g - np.repeat(shift, lens, axis=0)), off, axis=0)
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(total)
-    return np.where(finite, out, -np.inf)
-
-
-def _forward(lc: LayeredCircuit, batch: LeafBatch, log: bool) -> np.ndarray:
+def _forward(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
     buf = np.empty((lc.n_slots, batch.batch_size))
-    buf[:lc.n_leaves] = _leaf_values(lc, batch, log)
+    buf[:lc.n_leaves] = _leaf_values(lc, batch, sr)
     for layer in lc.layers[1:]:
-        g = buf[layer.child_index]
-        off = layer.child_offsets
-        if layer.kind == "PROD":
-            out = np.add.reduceat(g, off, axis=0) if log \
-                else np.multiply.reduceat(g, off, axis=0)
-        elif log:
-            out = _segmented_logsumexp(g, off, layer.seg_lengths)
-        else:
-            out = np.add.reduceat(g, off, axis=0)
-        buf[layer.slot_base:layer.slot_base + layer.size] = out
+        reduce = sr.segment_prod if layer.kind == "PROD" else sr.segment_sum
+        buf[layer.slot_base:layer.slot_base + layer.size] = reduce(
+            buf[layer.child_index], layer.child_offsets, layer.seg_lengths)
     return buf
 
 
@@ -299,37 +276,12 @@ def evaluate(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
     """One value per batch row: WMC, log-WMC, or a 0/1 satisfaction flag."""
     s = get_structure(structure)
     _check_compatible(lc, batch, s)
-    buf = _forward(lc, batch, s.name == "log_probability")
+    buf = _forward(lc, batch, s.semiring)
     return buf[lc.root_slot].copy()
 
 
 # ---------------------------------------------------------------------------
 # Reverse mode
-
-
-def _sibling_products(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """For each child value, the product of its siblings within the segment.
-
-    Zeros are handled by counting: with no zero sibling the product is
-    total/child; with exactly one, only the zero child sees the nonzero
-    product; with two or more, everything is zero.
-    """
-    zero = g == 0.0
-    g1 = np.where(zero, 1.0, g)
-    prod_nz = np.repeat(np.multiply.reduceat(g1, off, axis=0), lens, axis=0)
-    n_zero = np.repeat(np.add.reduceat(zero.astype(np.float64), off, axis=0), lens, axis=0)
-    return np.where(n_zero == 0.0, prod_nz / g1,
-                    np.where((n_zero == 1.0) & zero, prod_nz, 0.0))
-
-
-def _sibling_logsums(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Log-space analogue of :func:`_sibling_products` (-inf plays zero)."""
-    ninf = np.isneginf(g)
-    g0 = np.where(ninf, 0.0, g)
-    sum_f = np.repeat(np.add.reduceat(g0, off, axis=0), lens, axis=0)
-    n_inf = np.repeat(np.add.reduceat(ninf.astype(np.float64), off, axis=0), lens, axis=0)
-    return np.where(n_inf == 0.0, sum_f - g0,
-                    np.where((n_inf == 1.0) & ninf, sum_f, -np.inf))
 
 
 def _leaf_grad(lc: LayeredCircuit, leaf_adj: np.ndarray, batch_size: int) -> np.ndarray:
@@ -360,36 +312,18 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
         raise ValueError("gradients are taken w.r.t. probabilities; "
                          "build the batch with LeafBatch.from_probabilities")
     B = batch.batch_size
-    log = s.name == "log_probability"
-    buf = _forward(lc, batch, log)
-
-    if not log:
-        adj = np.zeros((lc.n_slots, B))
-        adj[lc.root_slot] = 1.0
-        for layer in reversed(lc.layers[1:]):
-            a = np.repeat(adj[layer.slot_base:layer.slot_base + layer.size],
-                          layer.seg_lengths, axis=0)
-            if layer.kind == "PROD":
-                g = buf[layer.child_index]
-                a = a * _sibling_products(g, layer.child_offsets, layer.seg_lengths)
-            np.add.at(adj, layer.child_index, a)
-        return _leaf_grad(lc, adj[:lc.n_leaves], B)
-
-    ladj = np.full((lc.n_slots, B), -np.inf)
-    ladj[lc.root_slot] = 0.0
+    sr = s.semiring
+    buf = _forward(lc, batch, sr)
+    adj = np.full((lc.n_slots, B), sr.zero)
+    adj[lc.root_slot] = sr.one
     for layer in reversed(lc.layers[1:]):
-        a = np.repeat(ladj[layer.slot_base:layer.slot_base + layer.size],
+        a = np.repeat(adj[layer.slot_base:layer.slot_base + layer.size],
                       layer.seg_lengths, axis=0)
         if layer.kind == "PROD":
             g = buf[layer.child_index]
-            a = a + _sibling_logsums(g, layer.child_offsets, layer.seg_lengths)
-        np.logaddexp.at(ladj, layer.child_index, a)
-    # ladj holds log of the WMC-space adjoints; normalize by log WMC and
-    # exponentiate to get the probability-ratio contributions.
-    log_z = buf[lc.root_slot]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(ladj[:lc.n_leaves] - log_z[None, :])
-    return _leaf_grad(lc, ratios, B)
+            a = sr.times(a, sr.siblings(g, layer.child_offsets, layer.seg_lengths))
+        sr.scatter_add(adj, layer.child_index, a)
+    return _leaf_grad(lc, sr.finish(adj[:lc.n_leaves], buf[lc.root_slot]), B)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +337,7 @@ def evaluate_recursive(c: Circuit, batch: LeafBatch, structure="probability") ->
     and serves as the unbatched timing baseline.
     """
     s = get_structure(structure)
-    if not s.circuit_safe:
-        raise StructureError(
-            f"structure {s.name!r} evaluates on the formula tree, not compiled circuits")
-    if batch.num_vars != c.num_vars:
-        raise ValueError(f"batch covers {batch.num_vars} variables, "
-                         f"circuit declares {c.num_vars}")
+    _check_compatible(c, batch, s)
     log = s.name == "log_probability"
     neg_inf = float("-inf")
     out = np.empty(batch.batch_size)

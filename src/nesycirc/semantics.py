@@ -1,12 +1,17 @@
 """Pluggable algebraic structures giving meaning to formulas and circuits.
 
-A structure fixes the carrier set and the combination rules for sum nodes,
-product nodes, and weighted leaves. Boolean, probability, and log-probability
-structures are circuit safe: evaluating a compiled circuit under them agrees
-with the formula semantics. The fuzzy families are not; decision splits and
+A structure fixes the carrier set and how sum nodes, product nodes, and
+weighted leaves combine. Boolean, probability, and log-probability structures
+are circuit safe: evaluating a compiled circuit under them agrees with the
+formula semantics. Each carries a :class:`Semiring`, the handful of kernels
+the layered circuit pass in :mod:`nesycirc.layered` runs, so one forward and
+one reverse loop serve all three (algebraic model counting). Boolean and
+probability share the linear semiring; the boolean 0/1 carrier is checked on
+the inputs. The fuzzy families are not circuit safe; decision splits and
 smoothing gadgets are WMC-preserving rewrites, not fuzzy-value-preserving
 ones, so fuzzy evaluation works on the NNF formula tree only.
 
+Structure tags resolve through one alias table (:func:`canonical_tag`).
 Structure-to-structure value conversions live in an explicit closed table
 (:func:`transform`); any pair not listed raises, including identity pairs.
 """
@@ -22,7 +27,8 @@ from .errors import FormulaError, IncompatibleStructures, StructureError
 from .formula import And, FalseF, Not, Or, TrueF, Var, is_nnf
 
 __all__ = [
-    "FuzzyConnectives", "Structure", "builtin_structures", "get_structure",
+    "FuzzyConnectives", "Semiring", "Structure", "builtin_structures",
+    "canonical_tag", "get_structure",
     "fuzzy_structure_from_ops", "evaluate_fuzzy", "fuzzy_value_and_grad",
     "transform", "transform_pairs",
 ]
@@ -48,22 +54,113 @@ class FuzzyConnectives:
         return self.disj(self.neg(x), y)
 
 
+def _segmented_logsumexp(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    mx = np.maximum.reduceat(g, off, axis=0)
+    finite = ~np.isneginf(mx)
+    shift = np.where(finite, mx, 0.0)
+    total = np.add.reduceat(np.exp(g - np.repeat(shift, lens, axis=0)), off, axis=0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(total)
+    return np.where(finite, out, -np.inf)
+
+
+def _sibling_products(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """For each child value, the product of its siblings within the segment.
+
+    Zeros are handled by counting: with no zero sibling the product is
+    total/child; with exactly one, only the zero child sees the nonzero
+    product; with two or more, everything is zero.
+    """
+    zero = g == 0.0
+    g1 = np.where(zero, 1.0, g)
+    prod_nz = np.repeat(np.multiply.reduceat(g1, off, axis=0), lens, axis=0)
+    n_zero = np.repeat(np.add.reduceat(zero.astype(np.float64), off, axis=0), lens, axis=0)
+    return np.where(n_zero == 0.0, prod_nz / g1,
+                    np.where((n_zero == 1.0) & zero, prod_nz, 0.0))
+
+
+def _sibling_logsums(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Log-space analogue of :func:`_sibling_products` (-inf plays zero)."""
+    ninf = np.isneginf(g)
+    g0 = np.where(ninf, 0.0, g)
+    sum_f = np.repeat(np.add.reduceat(g0, off, axis=0), lens, axis=0)
+    n_inf = np.repeat(np.add.reduceat(ninf.astype(np.float64), off, axis=0), lens, axis=0)
+    return np.where(n_inf == 0.0, sum_f - g0,
+                    np.where((n_inf == 1.0) & ninf, sum_f, -np.inf))
+
+
+def _log(w):
+    with np.errstate(divide="ignore"):
+        return np.log(w)
+
+
+def _normalized_exp(ladj, log_z):
+    # ladj holds log of the WMC-space adjoints; normalizing by log WMC and
+    # exponentiating gives d log WMC / d w.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(ladj - log_z[None, :])
+
+
+@dataclass(frozen=True)
+class Semiring:
+    """The kernels one layered circuit pass needs, forward and reverse.
+
+    ``leaf`` maps literal weights into the carrier. Segmented reductions
+    take ``(g, off, lens)``: child values gathered along axis 0, the start
+    of each node's segment, and its length. Adjoints start at ``zero``,
+    the root's at ``one``.
+    ``siblings`` gives each child the product of the other children in its
+    segment; ``times`` combines that with the parent adjoint and
+    ``scatter_add(adj, index, values)`` accumulates into the child rows.
+    ``finish(leaf_adj, root_value)`` turns leaf adjoints into derivatives of
+    the circuit value with respect to the literal weights.
+    """
+
+    zero: float
+    one: float
+    leaf: Callable
+    segment_prod: Callable
+    segment_sum: Callable
+    siblings: Callable
+    times: Callable
+    scatter_add: Callable
+    finish: Callable
+
+
+_LINEAR = Semiring(
+    zero=0.0, one=1.0, leaf=lambda w: w,
+    segment_prod=lambda g, off, lens: np.multiply.reduceat(g, off, axis=0),
+    segment_sum=lambda g, off, lens: np.add.reduceat(g, off, axis=0),
+    siblings=_sibling_products, times=np.multiply, scatter_add=np.add.at,
+    finish=lambda adj, root: adj,
+)
+
+_LOG = Semiring(
+    zero=-np.inf, one=0.0, leaf=_log,
+    segment_prod=lambda g, off, lens: np.add.reduceat(g, off, axis=0),
+    segment_sum=_segmented_logsumexp,
+    siblings=_sibling_logsums, times=np.add, scatter_add=np.logaddexp.at,
+    finish=_normalized_exp,
+)
+
+
 @dataclass(frozen=True)
 class Structure:
-    """A semantics tag plus its evaluation rules.
+    """A semantics tag, its carrier, and the rules that evaluate under it.
 
-    ``sum_rule``/``product_rule``/``leaf_rule`` are short human-readable
-    descriptions surfaced by the CLI; the evaluators dispatch on ``name``.
+    Circuit-safe structures carry a ``semiring`` for the layered circuit
+    pass; fuzzy families carry ``fuzzy`` connectives for formula trees.
     """
 
     name: str
     carrier: str
     differentiable: bool
-    circuit_safe: bool
-    sum_rule: str
-    product_rule: str
-    leaf_rule: str
+    semiring: Semiring | None = None
     fuzzy: FuzzyConnectives | None = None
+
+    @property
+    def circuit_safe(self) -> bool:
+        return self.semiring is not None
 
 
 def _f(x):
@@ -113,26 +210,16 @@ _LUKASIEWICZ = FuzzyConnectives(
 
 
 def _make_fuzzy(name: str, conn: FuzzyConnectives) -> Structure:
-    return Structure(
-        name=name, carrier="[0, 1]", differentiable=True, circuit_safe=False,
-        sum_rule="disj", product_rule="conj", leaf_rule="score / neg(score)",
-        fuzzy=conn,
-    )
+    return Structure(name=name, carrier="[0, 1]", differentiable=True, fuzzy=conn)
 
 
 _BUILTINS: dict[str, Structure] = {
-    "boolean": Structure(
-        name="boolean", carrier="{0, 1}", differentiable=False, circuit_safe=True,
-        sum_rule="x + y (exclusive)", product_rule="x * y", leaf_rule="w+ = x, w- = 1 - x",
-    ),
-    "probability": Structure(
-        name="probability", carrier="[0, 1]", differentiable=True, circuit_safe=True,
-        sum_rule="x + y", product_rule="x * y", leaf_rule="w+ = p, w- = 1 - p",
-    ),
-    "log_probability": Structure(
-        name="log_probability", carrier="[-inf, 0]", differentiable=True, circuit_safe=True,
-        sum_rule="logsumexp", product_rule="x + y", leaf_rule="w+ = log p, w- = log(1 - p)",
-    ),
+    "boolean": Structure(name="boolean", carrier="{0, 1}", differentiable=False,
+                         semiring=_LINEAR),
+    "probability": Structure(name="probability", carrier="[0, 1]", differentiable=True,
+                             semiring=_LINEAR),
+    "log_probability": Structure(name="log_probability", carrier="[-inf, 0]",
+                                 differentiable=True, semiring=_LOG),
     "fuzzy_product": _make_fuzzy("fuzzy_product", _PRODUCT),
     "fuzzy_godel": _make_fuzzy("fuzzy_godel", _GODEL),
     "fuzzy_lukasiewicz": _make_fuzzy("fuzzy_lukasiewicz", _LUKASIEWICZ),
@@ -145,13 +232,17 @@ def builtin_structures() -> dict[str, Structure]:
     return dict(_BUILTINS)
 
 
+def canonical_tag(tag: str) -> str:
+    """The registry name of a structure tag, with aliases such as 'log' resolved."""
+    return _ALIASES.get(tag, tag)
+
+
 def get_structure(name) -> Structure:
     """Resolve a structure tag (or pass a Structure through unchanged)."""
     if isinstance(name, Structure):
         return name
-    key = _ALIASES.get(name, name)
     try:
-        return _BUILTINS[key]
+        return _BUILTINS[canonical_tag(name)]
     except KeyError:
         raise StructureError(f"unknown structure tag {name!r}") from None
 

@@ -153,6 +153,14 @@ def test_eval_missing_weight_file(circuit_file, capsys):
     assert capsys.readouterr().err.startswith("error[format]: cannot read")
 
 
+def test_eval_carrier_error_prints_plain_float(circuit_file, tmp_path, capsys):
+    w = tmp_path / "wbad.csv"
+    w.write_text("A,B,C\n1.5,0.5,0.5\n")
+    assert main(["eval", "--circuit", circuit_file, "--weights", str(w)]) == 3
+    assert capsys.readouterr().err == \
+        "error[semantic]: batch row 0, variable 1: value 1.5 outside [0, 1]\n"
+
+
 def test_eval_unknown_semantics(circuit_file, weights_file, capsys):
     assert main(["eval", "--circuit", circuit_file, "--weights", weights_file,
                  "--semantics", "zadeh"]) == 3

@@ -304,13 +304,6 @@ def test_dag_diamond_value_and_generations():
     assert ("external", "0", "x", "probability") in recs
 
 
-def test_dag_parallel_equals_serial():
-    mods, ext = _diamond()
-    serial = wire_dag(mods, ext)(np.array([0.5]))
-    parallel = wire_dag(mods, ext, parallel=True)(np.array([0.5]))
-    assert serial[0] == pytest.approx(parallel[0])
-
-
 def test_dag_gathers_across_producers():
     """A consumer spec drawing symbols from two modules stacks columns."""
     ext = SymTensor(("x", "y"))

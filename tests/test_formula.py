@@ -238,6 +238,28 @@ def test_brute_force_wmc_example():
     assert len(brute_force_models(cnf)) == 5
 
 
+@pytest.mark.parametrize("f", [
+    Iff(Iff(Iff(Var(3), Var(3)), And(Var(3), Var(3))),
+        Iff(Iff(Var(3), Var(1)), And(Var(3), Var(3)))),
+    Iff(Iff(Var(1), Var(1)), And(Iff(Var(1), Var(2)), Iff(Var(2), Var(1)))),
+])
+def test_brute_force_wmc_deep_tseitin_encoding(f):
+    """Nested equivalences grow to 26 and 30 variables over 4 inputs."""
+    probs = [0.9, 0.3, 0.6, 0.2]
+    cnf = to_cnf(to_nnf(f), num_vars=4)
+    assert len(cnf.aux_vars) > 12
+    direct = sum(np.prod([probs[v - 1] if val else 1.0 - probs[v - 1]
+                          for v, val in a.items()])
+                 for a in _corners(4) if eval_assignment(f, a))
+    assert brute_force_wmc(cnf, probs) == pytest.approx(direct, abs=1e-12)
+
+
+def test_brute_force_wmc_counts_free_auxiliaries():
+    # 13 unconstrained auxiliaries: each input model counts 2**13 times
+    cnf = CNF(15, ((1, 2),), aux_vars=range(3, 16))
+    assert brute_force_wmc(cnf, [0.5, 0.25]) == pytest.approx((1 - 0.5 * 0.75) * 2 ** 13)
+
+
 def test_brute_force_wmc_guard():
     with pytest.raises(ValueError, match="guard"):
         brute_force_wmc(CNF(27, ()), [0.5] * 27)

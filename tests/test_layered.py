@@ -95,11 +95,15 @@ def test_boolean_agrees_with_assignment_evaluation(cnf, seed):
         assert val == (1.0 if want else 0.0)
 
 
-def test_boolean_rejects_fractional_weights(ex1_layered):
-    _, _, lc = ex1_layered
+@pytest.mark.parametrize("layered", [True, False], ids=["evaluate", "evaluate_recursive"])
+def test_boolean_rejects_fractional_weights(ex1_layered, layered):
+    _, c, lc = ex1_layered
     batch = LeafBatch.from_probabilities([[0.5, 0.0, 1.0]])
     with pytest.raises(CarrierError, match="boolean"):
-        evaluate(lc, batch, "boolean")
+        if layered:
+            evaluate(lc, batch, "boolean")
+        else:
+            evaluate_recursive(c, batch, "boolean")
 
 
 def test_fuzzy_structures_refuse_circuits(ex1_layered):

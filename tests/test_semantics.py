@@ -48,6 +48,7 @@ def test_circuit_safety_flags():
     b = builtin_structures()
     assert all(b[n].circuit_safe for n in ("boolean", "probability", "log_probability"))
     assert not any(b[n].circuit_safe for n in FUZZY)
+    assert b["boolean"].semiring is b["probability"].semiring
     assert not b["boolean"].differentiable
     assert all(b[n].differentiable for n in FUZZY)
 
