@@ -142,21 +142,29 @@ def _formula_from_args(args):
         raise _FormatError(str(exc)) from None
 
 
-def _checked(c: Circuit, path) -> Circuit:
-    report = check_properties(c)
-    if not report.ok:
-        failed = [p for p in ("decomposable", "deterministic", "smooth")
-                  if not getattr(report, p)]
-        raise StructureError(f"{path}: circuit violates {', '.join(failed)}")
-    return c
+def _inputs(args, s):
+    """Load the weight rows and what they are evaluated on under ``s``.
 
-
-def _probability_batch(c: Circuit, rows: np.ndarray, path) -> LeafBatch:
-    n_inputs = c.num_vars - len(c.aux_vars)
-    if rows.shape[1] != n_inputs:
-        raise _FormatError(f"{path}: {rows.shape[1]} weight columns for a circuit "
-                           f"with {n_inputs} input variables")
-    return LeafBatch.from_probabilities(rows, num_vars=c.num_vars, aux_vars=c.aux_vars)
+    A fuzzy structure gets the NNF of ``--formula`` and the rows as they
+    are; a circuit-safe one gets the layered ``--circuit`` (``layerize``
+    refuses a non-smooth file) and the rows as a probability batch.
+    """
+    _, rows = _load_weights(args.weights)
+    if not s.circuit_safe:
+        if args.circuit:
+            raise StructureError("fuzzy semantics require formula input")
+        f, n = _formula_from_args(args)
+        if rows.shape[1] != n:
+            raise _FormatError(f"{args.weights}: {rows.shape[1]} weight columns "
+                               f"for {n} declared names")
+        return to_nnf(f), rows
+    if not args.circuit:
+        raise _UsageError(f"semantics {s.name!r} evaluates circuits; pass --circuit")
+    lc = layerize(_load_circuit_file(args.circuit))
+    if rows.shape[1] != lc.n_inputs:
+        raise _FormatError(f"{args.weights}: {rows.shape[1]} weight columns for a circuit "
+                           f"with {lc.n_inputs} input variables")
+    return lc, LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +191,9 @@ def _cmd_compile(args) -> int:
 
 def _cmd_eval(args) -> int:
     s = get_structure(args.semantics)
-    _, rows = _load_weights(args.weights)
-    if not s.circuit_safe:
-        if args.circuit:
-            raise StructureError("fuzzy semantics require formula input")
-        f, n = _formula_from_args(args)
-        if rows.shape[1] != n:
-            raise _FormatError(f"{args.weights}: {rows.shape[1]} weight columns "
-                               f"for {n} declared names")
-        values = np.atleast_1d(evaluate_fuzzy(to_nnf(f), s, rows))
-        for v in values:
-            print(_FMT(v))
-        return 0
-    if not args.circuit:
-        raise _UsageError(f"semantics {s.name!r} evaluates circuits; pass --circuit")
-    c = _checked(_load_circuit_file(args.circuit), args.circuit)
-    batch = _probability_batch(c, rows, args.weights)
-    for v in evaluate(layerize(c), batch, s):
+    on, data = _inputs(args, s)
+    values = evaluate(on, data, s) if s.circuit_safe else evaluate_fuzzy(on, s, data)
+    for v in np.atleast_1d(values):
         print(_FMT(v))
     return 0
 
@@ -208,33 +202,17 @@ def _cmd_grad(args) -> int:
     s = get_structure(args.semantics)
     if not s.differentiable:
         raise StructureError(f"structure {s.name!r} is not differentiable")
-    _, rows = _load_weights(args.weights)
-    if not s.circuit_safe:
-        if args.circuit:
-            raise StructureError("fuzzy semantics require formula input")
-        f, n = _formula_from_args(args)
-        if rows.shape[1] != n:
-            raise _FormatError(f"{args.weights}: {rows.shape[1]} weight columns "
-                               f"for {n} declared names")
-        _, grads = fuzzy_value_and_grad(to_nnf(f), s, rows)
-        for row in np.atleast_2d(grads):
-            print(" ".join(_FMT(g) for g in row))
-        return 0
-    if not args.circuit:
-        raise _UsageError(f"semantics {s.name!r} differentiates circuits; pass --circuit")
-    c = _checked(_load_circuit_file(args.circuit), args.circuit)
-    batch = _probability_batch(c, rows, args.weights)
-    grads = backward(layerize(c), batch, s)
-    for row in grads:
+    on, data = _inputs(args, s)
+    grads = backward(on, data, s) if s.circuit_safe else fuzzy_value_and_grad(on, s, data)[1]
+    for row in np.atleast_2d(grads):
         print(" ".join(_FMT(g) for g in row))
     return 0
 
 
 def _cmd_loss(args) -> int:
-    c = _checked(_load_circuit_file(args.circuit), args.circuit)
-    _, rows = _load_weights(args.weights)
-    batch = _probability_batch(c, rows, args.weights)
-    per_row = -evaluate(layerize(c), batch, "log_probability")
+    s = get_structure("log_probability")
+    lc, batch = _inputs(args, s)
+    per_row = -evaluate(lc, batch, s)
     for v in per_row:
         print(_FMT(v))
     print(f"mean {_FMT(np.mean(per_row))}")
@@ -326,10 +304,7 @@ def main(argv=None) -> int:
     except _FormatError as exc:
         print(f"error[format]: {exc}", file=sys.stderr)
         return 2
-    except (StructureError, CarrierError, CompositionError, CircuitError) as exc:
-        print(f"error[semantic]: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (StructureError, CarrierError, CompositionError, CircuitError, ValueError) as exc:
         print(f"error[semantic]: {exc}", file=sys.stderr)
         return 3
 

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _KINDS = ("LIT", "AND", "OR", "TRUE", "FALSE")
+# integer fields after the kind in a circuit file; AND takes any number
+_ARITY = {"LIT": 1, "OR": 3, "TRUE": 0, "FALSE": 0}
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,6 @@ class Circuit:
     @property
     def n_inputs(self) -> int:
         return self.num_vars - len(self.aux_vars)
-
-    def node_vars(self, i: int) -> set[int]:
-        mask = self.var_masks[i]
-        out = set()
-        v = 1
-        while mask:
-            if mask & 1:
-                out.add(v)
-            mask >>= 1
-            v += 1
-        return out
 
 
 def _compute_masks(nodes: tuple[CircuitNode, ...]) -> tuple[int, ...]:
@@ -389,9 +380,7 @@ def smooth(c: Circuit) -> Circuit:
     never mentions). Smoothing an already smooth circuit reproduces it
     structurally.
     """
-    rep = check_properties(c)
-    if not (rep.decomposable and rep.deterministic):
-        raise CircuitError("smooth expects a deterministic decomposable circuit")
+    check_properties(c).require("decomposable", "deterministic")
     builder = _Builder(c.num_vars)
     gadgets: dict[int, int] = {}
 
@@ -453,13 +442,31 @@ class PropertyReport:
     def ok(self) -> bool:
         return self.decomposable and self.deterministic and self.smooth
 
+    def require(self, *props: str) -> None:
+        """Raise one CircuitError naming each listed property that fails."""
+        failed = [f"{p} (nodes {' '.join(map(str, self.violations[p]))})"
+                  for p in props if not getattr(self, p)]
+        if failed:
+            raise CircuitError(f"circuit violates {', '.join(failed)}")
+
 
 def _forces(c: Circuit, nid: int, lit: int) -> bool:
-    node = c.nodes[nid]
-    if node.kind == "LIT":
-        return node.literal == lit
-    if node.kind == "AND":
-        return any(_forces(c, ch, lit) for ch in node.children)
+    """Whether ``lit`` is a LIT node reachable from ``nid`` through ANDs only.
+
+    Depth-first, children left to right, with an explicit stack so that
+    long AND chains cannot exhaust the interpreter's recursion limit.
+    """
+    stack = [nid]
+    seen = set()
+    while stack:
+        i = stack.pop()
+        node = c.nodes[i]
+        if node.kind == "LIT":
+            if node.literal == lit:
+                return True
+        elif node.kind == "AND" and i not in seen:
+            seen.add(i)
+            stack.extend(reversed(node.children))
     return False
 
 
@@ -502,11 +509,7 @@ def model_count(c: Circuit) -> int:
     Requires a smooth, deterministic, decomposable circuit whose root
     mentions every declared variable (what :func:`smooth` produces).
     """
-    rep = check_properties(c)
-    for prop in ("decomposable", "deterministic", "smooth"):
-        if not getattr(rep, prop):
-            raise CircuitError(f"model_count requires a {prop} circuit; "
-                               f"offending nodes {rep.violations[prop]}")
+    check_properties(c).require("decomposable", "deterministic", "smooth")
     full = (1 << c.num_vars) - 1
     if c.nodes[c.root].kind != "FALSE" and c.var_masks[c.root] != full:
         raise CircuitError("model_count requires the root to mention every declared "
@@ -568,26 +571,23 @@ def circuit_from_text(text: str) -> Circuit:
         parts = ln.split()
         if parts[0] == "node":
             try:
-                nid = int(parts[1])
                 kind = parts[2]
+                nid, *ints = map(int, parts[1:2] + parts[3:])
+                if len(ints) != _ARITY.get(kind, len(ints)):
+                    raise ValueError
             except (IndexError, ValueError):
                 raise CircuitError(f"malformed node record {ln!r}") from None
+            if kind not in _KINDS:
+                raise CircuitError(f"unknown node kind {kind!r}")
             if nid != expect_id:
                 raise CircuitError(f"node ids must be dense and in order, got {nid}")
             expect_id += 1
             if kind == "LIT":
-                nodes.append(CircuitNode("LIT", literal=int(parts[3])))
-            elif kind == "AND":
-                nodes.append(CircuitNode("AND", children=tuple(int(x) for x in parts[3:])))
+                nodes.append(CircuitNode("LIT", literal=ints[0]))
             elif kind == "OR":
-                if len(parts) != 6:
-                    raise CircuitError(f"OR node needs a decision var and two children: {ln!r}")
-                nodes.append(CircuitNode("OR", children=(int(parts[4]), int(parts[5])),
-                                         decision_var=int(parts[3])))
-            elif kind in ("TRUE", "FALSE"):
-                nodes.append(CircuitNode(kind))
+                nodes.append(CircuitNode("OR", children=tuple(ints[1:]), decision_var=ints[0]))
             else:
-                raise CircuitError(f"unknown node kind {kind!r}")
+                nodes.append(CircuitNode(kind, children=tuple(ints)))
         else:
             if len(parts) > 2:
                 raise CircuitError(f"malformed header line {ln!r}")
@@ -605,11 +605,7 @@ def circuit_from_text(text: str) -> Circuit:
     if nnodes != len(nodes):
         raise CircuitError(f"declared {nnodes} nodes, found {len(nodes)}")
     circuit = Circuit(num_vars, tuple(nodes), root, aux)
-    rep = check_properties(circuit)
-    if not rep.decomposable or not rep.deterministic:
-        broken = [k for k in ("decomposable", "deterministic") if not getattr(rep, k)]
-        raise CircuitError(f"loaded circuit violates: {', '.join(broken)} "
-                           f"(nodes {rep.violations})")
+    check_properties(circuit).require("decomposable", "deterministic")
     return circuit
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CompositionError, IncompatibleStructures
-from .semantics import canonical_tag, transform, transform_pairs
+from .semantics import Structure, get_structure, transform, transform_pairs
 
 __all__ = [
     "SymTensor", "AnnotatedModule", "Violation", "Manifest", "validate",
@@ -43,11 +43,14 @@ class SymTensor:
 
     ``symbols`` may be given nested (the shape is inferred) or flat with an
     explicit ``shape``; a bare string makes a scalar spec. Stored symbols
-    are always the flattened tuple.
+    are always the flattened tuple. ``structure`` is a built-in tag (aliases
+    resolved) or a :class:`Structure`, such as one registered on a
+    ``ModuleFactory``; either way the structure's name is stored, and an
+    unknown tag raises ``StructureError``.
     """
 
     symbols: tuple[str, ...]
-    structure: str = "probability"
+    structure: str | Structure = "probability"
     shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -70,9 +73,7 @@ class SymTensor:
             seen.add(s)
         object.__setattr__(self, "symbols", flat)
         object.__setattr__(self, "shape", shape)
-        # factory-registered fuzzy tags are not in the built-in registry;
-        # they keep their name and validate against the [0, 1] carrier
-        object.__setattr__(self, "structure", canonical_tag(self.structure))
+        object.__setattr__(self, "structure", get_structure(self.structure).name)
 
     @property
     def size(self) -> int:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .compiler import Circuit, compile_cnf, smooth
-from .compose import AnnotatedModule, Manifest, SymTensor, fresh_symbol
+from .compose import AnnotatedModule, Manifest, SymTensor, _syms, fresh_symbol
 from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
 from .layered import LayeredCircuit, LeafBatch, evaluate, layerize
@@ -167,7 +167,7 @@ class ModuleFactory:
             return conn.neg(x(*values, check=False))
 
         name = f"{op_name}({x.name})"
-        records = (("module", x.name, _spec_syms(x.input_spec), _spec_syms(x.output_spec)),
+        records = (("module", x.name, _syms(x.input_spec), _syms(x.output_spec)),
                    ("connective", op_name, ",".join(spec.symbols)))
         return AnnotatedModule(name, x.input_spec, (spec,), compute,
                                Manifest(name, records))
@@ -183,7 +183,8 @@ class ModuleFactory:
             raise IncompatibleStructures(sx.structure, sy.structure)
         if sx.shape != sy.shape:
             raise CompositionError(f"operand shapes differ: {sx.shape} vs {sy.shape}")
-        conn = self._connectives(sx.structure)
+        structure = self.resolve_structure(sx.structure)
+        conn = self._connectives(structure)
         ops = {"and": conn.conj, "or": conn.disj, "pr": conn.disj,
                "implies": conn.implies}
         fn = ops.get(op_name)
@@ -198,7 +199,7 @@ class ModuleFactory:
                 seen.add(s)
         fresh = [fresh_symbol(op_name) for _ in range(max(sx.size, 1))]
         out_spec = SymTensor(fresh[0] if sx.shape == () else fresh,
-                             structure=sx.structure, shape=None if sx.shape == () else sx.shape)
+                             structure=structure, shape=None if sx.shape == () else sx.shape)
         nx = len(x.input_spec)
 
         def compute(*values):
@@ -207,8 +208,8 @@ class ModuleFactory:
             return fn(a, b)
 
         name = f"{op_name}({x.name},{y.name})"
-        records = (("module", x.name, _spec_syms(x.input_spec), _spec_syms(x.output_spec)),
-                   ("module", y.name, _spec_syms(y.input_spec), _spec_syms(y.output_spec)),
+        records = (("module", x.name, _syms(x.input_spec), _syms(x.output_spec)),
+                   ("module", y.name, _syms(y.input_spec), _syms(y.output_spec)),
                    ("connective", op_name, ",".join(out_spec.symbols)))
         return AnnotatedModule(name, x.input_spec + y.input_spec, (out_spec,),
                                compute, Manifest(name, records))
@@ -234,7 +235,7 @@ class ModuleFactory:
             raise CompositionError(f"predicate {functor!r} has arity {pred.arity}, "
                                    f"got {len(entities)} arguments")
         scores = np.asarray(pred.score(*entities), dtype=np.float64)
-        out = SymTensor(fresh_symbol(functor), structure=pred.structure)
+        out = SymTensor(fresh_symbol(functor), structure=self.resolve_structure(pred.structure))
         return AnnotatedModule(fresh_symbol(functor), (), (out,),
                                lambda _s=scores: _s)
 
@@ -254,8 +255,8 @@ class ModuleFactory:
         n = max(formula_vars(nnf), default=0)
         names = formula_names(f)
         symbols = [names.get(i, f"v{i}") for i in range(1, n + 1)]
-        in_spec = SymTensor(symbols, structure=s.name, shape=(n,))
-        out_spec = SymTensor("score", structure=s.name)
+        in_spec = SymTensor(symbols, structure=s, shape=(n,))
+        out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
             cnf = to_cnf(nnf, num_vars=n)
             compute, back = _circuit_compute(cnf, s)
@@ -274,8 +275,8 @@ class ModuleFactory:
         cnf = source if isinstance(source, CNF) else parse_dimacs(source)
         s = self.resolve_structure(structure_tag)
         symbols = [f"v{i}" for i in range(1, cnf.n_inputs + 1)]
-        in_spec = SymTensor(symbols, structure=s.name, shape=(cnf.n_inputs,))
-        out_spec = SymTensor("score", structure=s.name)
+        in_spec = SymTensor(symbols, structure=s, shape=(cnf.n_inputs,))
+        out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
             compute, back = _circuit_compute(cnf, s)
         else:
@@ -290,10 +291,6 @@ def _single_output(m: AnnotatedModule) -> SymTensor:
     if len(m.output_spec) != 1:
         raise CompositionError(f"{m.name} must have exactly one output tensor")
     return m.output_spec[0]
-
-
-def _spec_syms(specs) -> str:
-    return ";".join(",".join(st.symbols) for st in specs)
 
 
 def _circuit_compute(cnf: CNF, s: Structure):

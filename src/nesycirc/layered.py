@@ -72,11 +72,7 @@ class LayeredCircuit:
 
 def layerize(c: Circuit) -> LayeredCircuit:
     """Stratify a smooth deterministic decomposable circuit into layers."""
-    rep = check_properties(c)
-    if not rep.ok:
-        broken = [k for k in ("decomposable", "deterministic", "smooth") if not getattr(rep, k)]
-        raise CircuitError(f"layerize requires a smooth deterministic decomposable "
-                           f"circuit; violated: {', '.join(broken)} at {rep.violations}")
+    check_properties(c).require("decomposable", "deterministic", "smooth")
     n = len(c.nodes)
     depth = [0] * n
     for i, node in enumerate(c.nodes):

@@ -248,6 +248,44 @@ def test_eval_refuses_unsmoothed_circuit(tmp_path, weights_file, capsys):
     assert "violates smooth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "grad", "loss"])
+def test_commands_refuse_unsmoothed_circuit(command, tmp_path, weights_file, capsys):
+    rough = tmp_path / "rough.nnfc"
+    save_circuit(compile_cnf(parse_dimacs(EX1)), rough)
+    assert main([command, "--circuit", str(rough), "--weights", weights_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[semantic]: circuit violates smooth (nodes ")
+
+
+def test_check_rejects_malformed_node_record(tmp_path, capsys):
+    bad = tmp_path / "bad.nnfc"
+    bad.write_text("nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnode 0 LIT\n")
+    assert main(["check", "--circuit", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        f"error[format]: {bad}: malformed node record 'node 0 LIT'\n"
+
+
+def test_deep_and_chain_circuit(tmp_path, capsys):
+    # OR on variable 1 over a chain of 3000 one-child ANDs ending in LIT 1,
+    # and LIT -1: valid, but deeper than the interpreter's recursion limit
+    depth = 3000
+    lines = ["nnfc 1", "nvars 1", "aux", f"nnodes {depth + 3}", f"root {depth + 2}",
+             "node 0 LIT 1"]
+    lines += [f"node {i} AND {i - 1}" for i in range(1, depth + 1)]
+    lines += [f"node {depth + 1} LIT -1", f"node {depth + 2} OR 1 {depth} {depth + 1}"]
+    path = tmp_path / "deep.nnfc"
+    path.write_text("\n".join(lines) + "\n")
+    w = tmp_path / "w1.csv"
+    w.write_text("A\n0.3\n")
+    assert main(["check", "--circuit", str(path)]) == 0
+    assert _lines(capsys) == ["decomposable: ok", "deterministic: ok", "smooth: ok"]
+    assert main(["eval", "--circuit", str(path), "--weights", str(w)]) == 0
+    assert _lines(capsys) == ["1"]
+    assert main(["grad", "--circuit", str(path), "--weights", str(w)]) == 0
+    assert _lines(capsys) == ["0"]
+
+
 # ---------------------------------------------------------------------------
 # inspect
 

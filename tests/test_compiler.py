@@ -169,6 +169,10 @@ def test_file_round_trip_ignores_comments(tmp_path, ex1):
      "node 2 AND 0 1", "decomposab"),
     ("nnfc 1\nnvars 2\naux\nnnodes 3\nroot 2\nnode 0 LIT 1\nnode 1 LIT 2\n"
      "node 2 OR 1 0 1", "determin"),
+    ("nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnode 0 LIT", "malformed node record"),
+    ("nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnode 0 LIT x", "malformed node record"),
+    ("nnfc 1\nnvars 2\naux\nnnodes 3\nroot 2\nnode 0 LIT 1\nnode 1 LIT 2\n"
+     "node 2 AND 0 z", "malformed node record"),
 ])
 def test_bad_circuit_text_is_rejected(text, match):
     with pytest.raises(CircuitError, match=match):

@@ -7,7 +7,7 @@ from nesycirc.compose import (AnnotatedModule, Manifest, SymTensor, Violation,
                               chain, fresh_symbol, identity_module,
                               load_manifest, manifest_for, reshape_input,
                               save_manifest, validate, wire_dag)
-from nesycirc.errors import CompositionError, IncompatibleStructures
+from nesycirc.errors import CompositionError, IncompatibleStructures, StructureError
 
 
 def _mod(name, ins, outs, fn):
@@ -38,6 +38,11 @@ def test_symtensor_scalar_from_bare_string():
 
 def test_symtensor_normalizes_structure_alias():
     assert SymTensor(("a",), "log").structure == "log_probability"
+
+
+def test_symtensor_rejects_unknown_structure_tag():
+    with pytest.raises(StructureError, match="unknown structure tag 'zadeh'"):
+        SymTensor(("a",), "zadeh")
 
 
 def test_symtensor_index():
