@@ -206,7 +206,7 @@ def _compact(nodes, masks, root):
     return tuple(new_nodes), tuple(new_masks), remap[root]
 
 
-def compile_cnf(cnf: CNF, use_cache: bool = True) -> Circuit:
+def compile_cnf(cnf: CNF) -> Circuit:
     """Compile a CNF into a deterministic decomposable circuit.
 
     The output is deterministic for a given input: branch variables are
@@ -293,18 +293,16 @@ def compile_cnf(cnf: CNF, use_cache: bool = True) -> Circuit:
         return builder.conj(parts)
 
     def compile_component(comp: list[int]) -> int:
-        key = None
-        if use_cache:
-            touch: set[int] = set()
-            for cid in comp:
-                for v in clause_vars[cid]:
-                    av = assign[v]
-                    if av:
-                        touch.add(v if av > 0 else -v)
-            key = (tuple(comp), tuple(sorted(touch)))
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        touch: set[int] = set()
+        for cid in comp:
+            for v in clause_vars[cid]:
+                av = assign[v]
+                if av:
+                    touch.add(v if av > 0 else -v)
+        key = (tuple(comp), tuple(sorted(touch)))
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
         v = _pick_var(comp, clauses, clause_vars, n_unass, assign)
         mark = len(trail)
         sub_t = compile_scope(comp) if assign_lit(v) else builder.false()
@@ -313,8 +311,7 @@ def compile_cnf(cnf: CNF, use_cache: bool = True) -> Circuit:
         rollback(mark)
         node = builder.disj(builder.conj([builder.lit(v), sub_t]),
                             builder.conj([builder.lit(-v), sub_f]), v)
-        if use_cache:
-            cache[key] = node
+        cache[key] = node
         return node
 
     root = compile_scope(range(m))

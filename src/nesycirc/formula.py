@@ -20,7 +20,8 @@ The formula grammar:
     unary   := '~' unary | atom
     atom    := NAME | 'true' | 'false' | '(' formula ')'
 
-Precedence from tightest to loosest: ``~  &  |  ->  <->``.
+Precedence from tightest to loosest: ``~  &  |  ->  <->``. Parentheses
+nest at most :data:`MAX_PAREN_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -271,6 +272,14 @@ def make_name_table(names: Sequence[str]) -> dict[str, Variable]:
     return table
 
 
+# Binary connectives: token -> (precedence, node, right associative).
+_BINARY_OPS = {"<->": (0, Iff, True), "->": (1, Implies, True),
+               "|": (2, Or, False), "&": (3, And, False)}
+
+# Each open parenthesis costs three parser frames; the limit keeps deep
+# nesting a FormulaError well inside the interpreter's recursion limit.
+MAX_PAREN_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"<->|->|[~&|()]|[A-Za-z_][A-Za-z0-9_]*")
 _WS_RE = re.compile(r"\s*")
 
@@ -282,6 +291,7 @@ class _Parser:
         self.pos = 0
         self.tok: str | None = None
         self.tok_pos = 0
+        self.depth = 0
         self._advance()
 
     def _advance(self):
@@ -303,51 +313,50 @@ class _Parser:
         self._advance()
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary()
         if self.tok is not None:
             raise FormulaError(f"unexpected token {self.tok!r}", self.tok_pos)
         return f
 
-    def iff(self) -> Formula:
-        left = self.impl()
-        if self.tok == "<->":
-            self._advance()
-            return Iff(left, self.iff())
-        return left
+    def binary(self) -> Formula:
+        """Operands and binary connectives up to the next ')' or the end.
 
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.tok == "->":
+        Operator precedence parsing with explicit stacks, so a long chain
+        of connectives costs no Python recursion.
+        """
+        operands = [self.unary()]
+        pending: list[tuple[int, type]] = []  # connectives still missing a right operand
+        while self.tok in _BINARY_OPS:
+            prec, node, right_assoc = _BINARY_OPS[self.tok]
+            while pending and (pending[-1][0] > prec or pending[-1][0] == prec and not right_assoc):
+                _reduce(operands, pending.pop()[1])
+            pending.append((prec, node))
             self._advance()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.tok == "|":
-            self._advance()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.tok == "&":
-            self._advance()
-            out = And(out, self.unary())
-        return out
+            operands.append(self.unary())
+        while pending:
+            _reduce(operands, pending.pop()[1])
+        return operands[0]
 
     def unary(self) -> Formula:
-        if self.tok == "~":
+        negations = 0
+        while self.tok == "~":
             self._advance()
-            return Not(self.unary())
-        return self.atom()
+            negations += 1
+        f = self.atom()
+        for _ in range(negations):
+            f = Not(f)
+        return f
 
     def atom(self) -> Formula:
         tok, pos = self.tok, self.tok_pos
         if tok == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise FormulaError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
+            self.depth += 1
             self._advance()
-            f = self.iff()
+            f = self.binary()
             self._expect(")")
+            self.depth -= 1
             return f
         if tok is None:
             raise FormulaError("unexpected end of input", pos)
@@ -366,106 +375,114 @@ class _Parser:
         raise FormulaError(f"unexpected token {tok!r}", pos)
 
 
+def _reduce(operands: list[Formula], node: type) -> None:
+    right = operands.pop()
+    operands.append(node(operands.pop(), right))
+
+
 def parse_formula(text: str, name_table: Mapping[str, Variable]) -> Formula:
     """Parse formula text against a pre-declared name table."""
     return _Parser(text, name_table).parse()
 
 
+def _postorder(f: Formula) -> list[Formula]:
+    """The nodes of f, children before parents and left subtrees first.
+
+    Built with an explicit stack as a right-first pre-order, then reversed,
+    so depth costs no Python recursion. A subformula reachable twice is
+    listed twice, as a recursive walk would visit it twice.
+    """
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, _BINARY):
+            stack.append(node.left)
+            stack.append(node.right)
+    out.reverse()
+    return out
+
+
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negations on variables only, no -> or <->.
 
-    ``Iff(a, b)`` expands to ``Or(And(a, b), And(~a, ~b))`` before the
-    negations are pushed, so nested equivalences grow the tree.
+    ``Iff(a, b)`` becomes ``Or(And(a, b), And(~a, ~b))``. The NNFs of a
+    and of ~a are each built once and shared by both conjunctions, so the
+    result is a DAG whose tree size still doubles with each nested
+    equivalence.
     """
-    return _nnf(f, False)
-
-
-def _nnf(f: Formula, neg: bool) -> Formula:
-    if isinstance(f, Var):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.child, not neg)
-    if isinstance(f, And):
-        if neg:
-            return Or(_nnf(f.left, True), _nnf(f.right, True))
-        return And(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Or):
-        if neg:
-            return And(_nnf(f.left, True), _nnf(f.right, True))
-        return Or(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Implies):
-        return _nnf(Or(Not(f.left), f.right), neg)
-    if isinstance(f, Iff):
-        return _nnf(Or(And(f.left, f.right), And(Not(f.left), Not(f.right))), neg)
-    if isinstance(f, TrueF):
-        return FALSE if neg else TRUE
-    if isinstance(f, FalseF):
-        return TRUE if neg else FALSE
-    raise FormulaError(f"unknown formula node {type(f).__name__}")
+    # each node's NNF and its negation's NNF, built bottom-up
+    stack: list[tuple[Formula, Formula]] = []
+    for node in _postorder(f):
+        if isinstance(node, Var):
+            pair = (node, Not(node))
+        elif isinstance(node, Not):
+            pos, neg = stack.pop()
+            pair = (neg, pos)
+        elif isinstance(node, (TrueF, FalseF)):
+            pair = (TRUE, FALSE) if isinstance(node, TrueF) else (FALSE, TRUE)
+        elif isinstance(node, _BINARY):
+            bp, bn = stack.pop()
+            ap, an = stack.pop()
+            if isinstance(node, And):
+                pair = (And(ap, bp), Or(an, bn))
+            elif isinstance(node, Or):
+                pair = (Or(ap, bp), And(an, bn))
+            elif isinstance(node, Implies):
+                pair = (Or(an, bp), And(ap, bn))
+            else:
+                pair = (Or(And(ap, bp), And(an, bn)), And(Or(an, bn), Or(ap, bp)))
+        else:
+            raise FormulaError(f"unknown formula node {type(node).__name__}")
+        stack.append(pair)
+    return stack[0][0]
 
 
 def is_nnf(f: Formula) -> bool:
-    if isinstance(f, (Var, TrueF, FalseF)):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.child, Var)
-    if isinstance(f, (And, Or)):
-        return is_nnf(f.left) and is_nnf(f.right)
-    return False
+    return all(isinstance(node, (Var, And, Or, TrueF, FalseF))
+               or isinstance(node, Not) and isinstance(node.child, Var)
+               for node in _postorder(f))
 
 
 def _fold_constants(f: Formula) -> Formula:
-    if isinstance(f, And):
-        a, b = _fold_constants(f.left), _fold_constants(f.right)
-        if isinstance(a, FalseF) or isinstance(b, FalseF):
-            return FALSE
-        if isinstance(a, TrueF):
-            return b
-        if isinstance(b, TrueF):
-            return a
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = _fold_constants(f.left), _fold_constants(f.right)
-        if isinstance(a, TrueF) or isinstance(b, TrueF):
-            return TRUE
-        if isinstance(a, FalseF):
-            return b
-        if isinstance(b, FalseF):
-            return a
-        return Or(a, b)
-    return f
+    """Drop TRUE and FALSE from an NNF formula, unless the whole folds to one."""
+    stack: list[Formula] = []
+    for node in _postorder(f):
+        if isinstance(node, (And, Or)):
+            b = stack.pop()
+            a = stack.pop()
+            absorbing, unit = (FalseF, TrueF) if isinstance(node, And) else (TrueF, FalseF)
+            if isinstance(a, absorbing) or isinstance(b, absorbing):
+                node = TRUE if absorbing is TrueF else FALSE
+            elif isinstance(a, unit):
+                node = b
+            elif isinstance(b, unit):
+                node = a
+            else:
+                node = type(node)(a, b)
+        elif isinstance(node, Not):
+            stack.pop()
+        stack.append(node)
+    return stack[0]
 
 
 def formula_vars(f: Formula) -> list[int]:
     """Sorted ids of the variables occurring in f."""
-    out: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.id)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
-    return sorted(out)
+    return sorted({node.id for node in _postorder(f) if isinstance(node, Var)})
 
 
 def formula_names(f: Formula) -> dict[int, str]:
-    """Variable names recorded on the leaves of f, keyed by id."""
+    """Variable names recorded on the leaves of f, keyed by id.
+
+    Where leaves of one id carry different names, the leftmost one wins.
+    """
     out: dict[int, str] = {}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if node.name:
-                out[node.id] = node.name
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
+    for node in _postorder(f):
+        if isinstance(node, Var) and node.name and node.id not in out:
+            out[node.id] = node.name
     return out
 
 
@@ -475,6 +492,7 @@ def to_cnf(f: Formula, num_vars: int | None = None) -> CNF:
     Conjuncts that are already disjunctions of literals become plain clauses;
     every other subformula gets a fresh auxiliary variable defined by a full
     biconditional, so each model of f extends uniquely to the auxiliaries.
+    Structurally equal subformulas share one auxiliary.
     Pass ``num_vars`` to declare more variables than f mentions.
     """
     if not is_nnf(f):
@@ -492,8 +510,12 @@ def to_cnf(f: Formula, num_vars: int | None = None) -> CNF:
         return CNF(base, (), unsat=True)
 
     clauses: list[tuple[int, ...]] = []
-    aux_of: dict[Formula, int] = {}
-    next_aux = [base]
+    # An auxiliary is keyed on its connective and its children's keys: a
+    # literal's key is (signed id, name), an auxiliary's key is its own id.
+    # Equal keys mean equal subformulas under dataclass ==, without hashing
+    # (recursively) the formula itself.
+    aux_of: dict[tuple, int] = {}
+    next_aux = base
 
     def emit(lits: list[int]) -> None:
         # degenerate subformulas (x & ~x, x | x) yield tautological or
@@ -503,59 +525,48 @@ def to_cnf(f: Formula, num_vars: int | None = None) -> CNF:
         if clause is not None:
             clauses.append(clause)
 
-    def literal_of(node: Formula) -> int:
-        if isinstance(node, Var):
-            return node.id
-        if isinstance(node, Not):
-            return -node.child.id
-        return define_aux(node)
+    def literal_of(sub: Formula) -> int:
+        nonlocal next_aux
+        stack: list[tuple[int, object]] = []  # (literal, key) per finished subformula
+        for node in _postorder(sub):
+            if isinstance(node, Var):
+                stack.append((node.id, (node.id, node.name)))
+            elif isinstance(node, Not):
+                lit, (v, name) = stack.pop()
+                stack.append((-lit, (-v, name)))
+            else:
+                b, kb = stack.pop()
+                a, ka = stack.pop()
+                key = (isinstance(node, And), ka, kb)
+                z = aux_of.get(key)
+                if z is None:
+                    next_aux += 1
+                    z = aux_of[key] = next_aux
+                    if isinstance(node, And):
+                        emit([-z, a])
+                        emit([-z, b])
+                        emit([z, -a, -b])
+                    else:
+                        emit([z, -a])
+                        emit([z, -b])
+                        emit([-z, a, b])
+                stack.append((z, z))
+        return stack[0][0]
 
-    def define_aux(node: Formula) -> int:
-        hit = aux_of.get(node)
-        if hit is not None:
-            return hit
-        a = literal_of(node.left)
-        b = literal_of(node.right)
-        next_aux[0] += 1
-        z = next_aux[0]
-        aux_of[node] = z
-        if isinstance(node, And):
-            emit([-z, a])
-            emit([-z, b])
-            emit([z, -a, -b])
-        else:
-            emit([z, -a])
-            emit([z, -b])
-            emit([-z, a, b])
-        return z
+    for conjunct in _flatten(folded, And):
+        emit([literal_of(disjunct) for disjunct in _flatten(conjunct, Or)])
 
-    for conjunct in _conjuncts(folded):
-        emit([literal_of(disjunct) for disjunct in _disjuncts(conjunct)])
-
-    n_aux = next_aux[0] - base
-    aux = frozenset(range(base + 1, base + n_aux + 1))
-    return CNF(base + n_aux, tuple(clauses), aux_vars=aux)
+    aux = frozenset(range(base + 1, next_aux + 1))
+    return CNF(next_aux, tuple(clauses), aux_vars=aux)
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
+def _flatten(f: Formula, kind: type) -> list[Formula]:
+    """The operands of the maximal ``kind`` chain at the top of f, left to right."""
     out: list[Formula] = []
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
-
-
-def _disjuncts(f: Formula) -> list[Formula]:
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Or):
+        if isinstance(node, kind):
             stack.append(node.right)
             stack.append(node.left)
         else:

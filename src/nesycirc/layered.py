@@ -59,7 +59,6 @@ class LayeredCircuit:
     leaf_var: np.ndarray  # variable id, 0 for constants
     leaf_sign: np.ndarray  # +1 / -1 / 0
     leaf_const: np.ndarray  # constant value where leaf_var == 0
-    node_slot: tuple[int, ...]  # circuit node id -> slot
 
     @property
     def n_inputs(self) -> int:
@@ -136,7 +135,6 @@ def layerize(c: Circuit) -> LayeredCircuit:
         leaf_var=np.asarray(leaf_var, np.int64),
         leaf_sign=np.asarray(leaf_sign, np.int64),
         leaf_const=np.asarray(leaf_const, np.float64),
-        node_slot=tuple(node_slot),
     )
 
 

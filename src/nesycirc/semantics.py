@@ -9,7 +9,9 @@ one reverse loop serve all three (algebraic model counting). Boolean and
 probability share the linear semiring; the boolean 0/1 carrier is checked on
 the inputs. The fuzzy families are not circuit safe; decision splits and
 smoothing gadgets are WMC-preserving rewrites, not fuzzy-value-preserving
-ones, so fuzzy evaluation works on the NNF formula tree only.
+ones, so fuzzy evaluation works on the NNF formula tree only: one forward
+loop over its nodes, children first, and for gradients one reverse sweep
+over the same nodes.
 
 Structure tags resolve through one alias table (:func:`canonical_tag`).
 Structure-to-structure value conversions live in an explicit closed table
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormulaError, IncompatibleStructures, StructureError
-from .formula import And, FalseF, Not, Or, TrueF, Var, is_nnf
+from .formula import And, FalseF, Not, Or, TrueF, Var, _postorder
 
 __all__ = [
     "FuzzyConnectives", "Semiring", "Structure", "builtin_structures",
@@ -271,11 +273,45 @@ def fuzzy_structure_from_ops(name: str, ops: dict) -> Structure:
 # Fuzzy evaluation on NNF trees
 
 
-def _check_fuzzy_inputs(f, s: Structure):
-    if s.fuzzy is None:
+def _fuzzy_forward(f, s, var_scores):
+    """Evaluate every node of an NNF formula under a fuzzy structure.
+
+    One loop over :func:`~nesycirc.formula._postorder` computes each node's
+    value from its children's and records their positions, which the
+    reverse sweep of :func:`fuzzy_value_and_grad` reads back. Returns the
+    structure, the scores array, the nodes, their values and their child
+    positions; the root is last.
+    """
+    s = get_structure(s)
+    conn = s.fuzzy
+    if conn is None:
         raise StructureError(f"structure {s.name!r} is not a fuzzy family")
-    if not is_nnf(f):
-        raise FormulaError("fuzzy evaluation needs NNF input; apply to_nnf first")
+    scores = np.asarray(var_scores, dtype=np.float64)
+    nodes = _postorder(f)
+    values: list = []
+    kids: list[tuple[int, ...]] = []
+    pending: list[int] = []  # positions of finished subformulas awaiting their parent
+    for i, node in enumerate(nodes):
+        if isinstance(node, Var):
+            ks, v = (), scores[..., node.id - 1]
+        elif isinstance(node, Not) and isinstance(node.child, Var):
+            ks = (pending.pop(),)
+            v = conn.neg(values[ks[0]])
+        elif isinstance(node, (And, Or)):
+            right = pending.pop()
+            ks = (pending.pop(), right)
+            op = conn.conj if isinstance(node, And) else conn.disj
+            v = op(values[ks[0]], values[right])
+        elif isinstance(node, TrueF):
+            ks, v = (), np.ones(scores.shape[:-1])
+        elif isinstance(node, FalseF):
+            ks, v = (), np.zeros(scores.shape[:-1])
+        else:
+            raise FormulaError("fuzzy evaluation needs NNF input; apply to_nnf first")
+        values.append(v)
+        kids.append(ks)
+        pending.append(i)
+    return s, scores, nodes, values, kids
 
 
 def evaluate_fuzzy(f, s, var_scores) -> np.ndarray:
@@ -284,69 +320,42 @@ def evaluate_fuzzy(f, s, var_scores) -> np.ndarray:
     ``var_scores`` has variable id i at index i-1 along the last axis;
     leading axes are batch dimensions and broadcast through the connectives.
     """
-    s = get_structure(s)
-    _check_fuzzy_inputs(f, s)
-    scores = np.asarray(var_scores, dtype=np.float64)
-    conn = s.fuzzy
-
-    def rec(node):
-        if isinstance(node, Var):
-            return scores[..., node.id - 1]
-        if isinstance(node, Not):
-            return conn.neg(scores[..., node.child.id - 1])
-        if isinstance(node, And):
-            return conn.conj(rec(node.left), rec(node.right))
-        if isinstance(node, Or):
-            return conn.disj(rec(node.left), rec(node.right))
-        if isinstance(node, TrueF):
-            return np.ones(scores.shape[:-1])
-        if isinstance(node, FalseF):
-            return np.zeros(scores.shape[:-1])
-        raise FormulaError(f"unexpected node {type(node).__name__} in NNF")
-
-    return rec(f)
+    values = _fuzzy_forward(f, s, var_scores)[3]
+    return values[-1]
 
 
 def fuzzy_value_and_grad(f, s, var_scores):
     """Evaluate and differentiate an NNF formula under a fuzzy structure.
 
     Returns (value, grad) with grad shaped like ``var_scores``. Requires the
-    structure to carry gradient rules (all built-in families do).
+    structure to carry gradient rules (all built-in families do). The value
+    comes from the forward loop :func:`evaluate_fuzzy` runs; the gradient
+    from one reverse sweep over the same nodes, which carries one adjoint
+    per node, shaped like the value, and adds each leaf's into the column
+    of its variable.
     """
-    s = get_structure(s)
-    _check_fuzzy_inputs(f, s)
+    s, scores, nodes, values, kids = _fuzzy_forward(f, s, var_scores)
     conn = s.fuzzy
     if conn.conj_grad is None or conn.disj_grad is None or conn.neg_grad is None:
         raise StructureError(
             f"structure {s.name!r} has no gradient rules; register them or use a built-in family")
-    scores = np.asarray(var_scores, dtype=np.float64)
-
-    def one_hot(i):
-        g = np.zeros(scores.shape)
-        g[..., i] = 1.0
-        return g
-
-    def rec(node):
+    grad = np.zeros(scores.shape)
+    adj = [None] * len(nodes)
+    adj[-1] = np.ones(scores.shape[:-1])
+    for i in range(len(nodes) - 1, -1, -1):
+        node, a = nodes[i], adj[i]
         if isinstance(node, Var):
-            return scores[..., node.id - 1], one_hot(node.id - 1)
-        if isinstance(node, Not):
-            x = scores[..., node.child.id - 1]
-            return conn.neg(x), conn.neg_grad(x)[..., None] * one_hot(node.child.id - 1)
-        if isinstance(node, (And, Or)):
-            va, ga = rec(node.left)
-            vb, gb = rec(node.right)
-            if isinstance(node, And):
-                val, (da, db) = conn.conj(va, vb), conn.conj_grad(va, vb)
-            else:
-                val, (da, db) = conn.disj(va, vb), conn.disj_grad(va, vb)
-            return val, np.asarray(da)[..., None] * ga + np.asarray(db)[..., None] * gb
-        if isinstance(node, TrueF):
-            return np.ones(scores.shape[:-1]), np.zeros(scores.shape)
-        if isinstance(node, FalseF):
-            return np.zeros(scores.shape[:-1]), np.zeros(scores.shape)
-        raise FormulaError(f"unexpected node {type(node).__name__} in NNF")
-
-    return rec(f)
+            grad[..., node.id - 1] += a
+        elif isinstance(node, Not):
+            (c,) = kids[i]
+            adj[c] = a * conn.neg_grad(values[c])
+        elif isinstance(node, (And, Or)):
+            l, r = kids[i]
+            rule = conn.conj_grad if isinstance(node, And) else conn.disj_grad
+            da, db = rule(values[l], values[r])
+            adj[l] = a * da
+            adj[r] = a * db
+    return values[-1], grad
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,13 @@ def test_compile_reports_size(dimacs_file, tmp_path, capsys):
     assert "\nc " in text  # the layer summary rides along as comments
 
 
+def test_compile_long_conjunction(tmp_path, capsys):
+    names = [f"x{i}" for i in range(3000)]
+    assert main(["compile", "--formula", " & ".join(names), "--names", ",".join(names),
+                 "--out", str(tmp_path / "c.nnfc")]) == 0
+    assert _lines(capsys) == ["nodes 3001 layers 2"]
+
+
 def test_compile_from_formula(tmp_path, capsys):
     out = tmp_path / "c.nnfc"
     assert main(["compile", "--formula", FORMULA, "--names", "A,B,C",
@@ -126,6 +133,14 @@ def test_eval_fuzzy_formula(weights_file, capsys):
                  "--semantics", "fuzzy_product"]) == 0
     got = [float(x) for x in _lines(capsys)]
     assert got == pytest.approx([0.75 * 0.75, 0.28 * 0.92])
+
+
+def test_eval_deeply_parenthesised_formula_fails_closed(weights_file, capsys):
+    formula = "(" * 400 + "A" + ")" * 400 + " & B & C"
+    assert main(["eval", "--formula", formula, "--names", "A,B,C",
+                 "--weights", weights_file, "--semantics", "fuzzy_product"]) == 2
+    assert capsys.readouterr().err == \
+        "error[format]: position 100: parentheses nested deeper than 100\n"
 
 
 def test_eval_fuzzy_rejects_circuit(circuit_file, weights_file, capsys):

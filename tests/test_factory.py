@@ -252,6 +252,13 @@ def test_dimacs_module_fuzzy_on_plain_cnf(pf):
     assert float(m(np.array([0.9, 0.2, 0.1]))) == pytest.approx(0.28 * 0.92)
 
 
+def test_dimacs_module_fuzzy_on_long_implication_chain(pf):
+    n = 2000
+    text = f"p cnf {n} {n - 1}\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+    m = pf.module_from_dimacs(text, "fuzzy_godel")
+    assert float(m(np.full(n, 0.7))) == 0.7
+
+
 def test_dimacs_module_fuzzy_refuses_auxiliaries(pf):
     from nesycirc.formula import to_cnf, to_nnf
     cnf = to_cnf(to_nnf(_parse("(A & B) | (B & C)")))

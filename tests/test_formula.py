@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nesycirc.compiler import compile_cnf, smooth
 from nesycirc.errors import DimacsError, FormulaError
-from nesycirc.formula import (CNF, FALSE, TRUE, And, Iff, Implies, Not, Or,
-                              Var, brute_force_models, brute_force_wmc,
-                              cnf_to_formula, eval_assignment, formula_names,
-                              formula_vars, is_nnf, make_name_table,
-                              parse_dimacs, parse_formula, serialize_dimacs,
-                              to_cnf, to_nnf)
+from nesycirc.formula import (CNF, FALSE, MAX_PAREN_DEPTH, TRUE, And, Iff,
+                              Implies, Not, Or, Var, brute_force_models,
+                              brute_force_wmc, cnf_to_formula, eval_assignment,
+                              formula_names, formula_vars, is_nnf,
+                              make_name_table, parse_dimacs, parse_formula,
+                              serialize_dimacs, to_cnf, to_nnf)
+from nesycirc.layered import LeafBatch, evaluate, layerize
 
 EX1 = "c two-clause constraint\np cnf 3 2\n-1 2 0\n2 -3 0\n"
 
@@ -142,6 +144,31 @@ def test_parse_rejects_trailing_junk():
         _parse("a b")
 
 
+def test_parse_long_negation_chain():
+    f = _parse("~" * 2000 + "a")
+    for _ in range(2000):  # dataclass == on a 2000-deep AST would recurse
+        assert isinstance(f, Not)
+        f = f.child
+    assert f == Var(1, "a")
+
+
+@pytest.mark.parametrize("op, node", [("->", Implies), ("<->", Iff)])
+def test_parse_long_chain_is_right_associative(op, node):
+    f = _parse(f" {op} ".join(["a", "b"] * 1000))
+    for i in range(1999):
+        assert isinstance(f, node)
+        assert f.left == (Var(1, "a") if i % 2 == 0 else Var(2, "b"))
+        f = f.right
+    assert f == Var(2, "b")
+
+
+def test_parse_parentheses_nesting_limit():
+    assert _parse("(" * MAX_PAREN_DEPTH + "a" + ")" * MAX_PAREN_DEPTH) == Var(1, "a")
+    with pytest.raises(FormulaError, match="nested deeper") as exc:
+        _parse("(" * 400 + "a" + ")" * 400)
+    assert exc.value.position == MAX_PAREN_DEPTH
+
+
 def test_make_name_table_rejects_duplicates():
     with pytest.raises(FormulaError, match="duplicate"):
         make_name_table(["x", "x"])
@@ -192,6 +219,18 @@ def test_to_nnf_pushes_negations():
     nnf = to_nnf(f)
     assert is_nnf(nnf)
     assert not is_nnf(f)
+
+
+def test_long_conjunction_compiles_and_evaluates():
+    n = 10000
+    names = [f"x{i}" for i in range(n)]
+    nnf = to_nnf(parse_formula(" & ".join(names), make_name_table(names)))
+    assert is_nnf(nnf)
+    cnf = to_cnf(nnf)
+    assert cnf.clauses == tuple((v,) for v in range(1, n + 1))
+    lc = layerize(smooth(compile_cnf(cnf)))
+    value = evaluate(lc, LeafBatch.from_probabilities(np.full((1, n), 0.999)), "probability")
+    assert float(value[0]) == pytest.approx(0.999 ** n, rel=1e-9)
 
 
 @given(formulas(max_vars=4, max_depth=3))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from nesycirc.errors import FormulaError, IncompatibleStructures, StructureError
 from nesycirc.formula import (And, Not, Or, Var, make_name_table,
-                              parse_formula, to_nnf)
+                              parse_formula, to_cnf, to_nnf)
 from nesycirc.semantics import (builtin_structures, evaluate_fuzzy,
                                 fuzzy_structure_from_ops,
                                 fuzzy_value_and_grad, get_structure,
@@ -158,9 +158,48 @@ def _fd_check(f, name, scores, h=1e-6):
 @pytest.mark.parametrize("name", FUZZY)
 def test_grad_matches_finite_differences(name):
     f = to_nnf(_parse("(A -> B) & (C -> B)"))
+    shared = And(Var(1, "A"), Var(2, "B"))  # one subterm object, reached twice
     rng = np.random.default_rng(11)
     for _ in range(20):
         _fd_check(f, name, 0.05 + 0.9 * rng.random(3))
+        _fd_check(Or(shared, shared), name, 0.05 + 0.9 * rng.random(2))
+
+
+def test_deep_alternating_formula_value_and_grad():
+    # x1 & (x2 | (x3 & (x4 | ...))), 3000 variables deep, built in a loop
+    n = 3000
+    f = Var(n)
+    for i in range(n - 1, 0, -1):
+        f = And(Var(i), f) if i % 2 else Or(Var(i), f)
+    nnf = to_nnf(f)
+    cnf = to_cnf(nnf)
+    # the top AND and the OR under it become clauses; the other n - 3
+    # connectives get an auxiliary and three definition clauses each
+    assert cnf.num_vars == n + n - 3
+    assert len(cnf.clauses) == 2 + 3 * (n - 3)
+    # scores near 1 under AND and near 0 under OR keep the adjoints above
+    # underflow all the way down
+    rng = np.random.default_rng(5)
+    odd = np.arange(1, n + 1) % 2 == 1
+    x = np.where(odd, rng.uniform(0.998, 1.0, (2, n)), rng.uniform(0.0, 0.002, (2, n)))
+    # closed form, innermost first: the value below each connective
+    below = [None] * (n + 1)
+    below[n] = x[:, n - 1]
+    for i in range(n - 1, 0, -1):
+        xi, v = x[:, i - 1], below[i + 1]
+        below[i] = xi * v if i % 2 else xi + v - xi * v
+    want = np.zeros_like(x)
+    adj = np.ones(2)
+    for i in range(1, n):
+        xi, v = x[:, i - 1], below[i + 1]
+        want[:, i - 1] = adj * (v if i % 2 else 1.0 - v)
+        adj = adj * (xi if i % 2 else 1.0 - xi)
+    want[:, n - 1] = adj
+    np.testing.assert_allclose(evaluate_fuzzy(nnf, "fuzzy_product", x), below[1], rtol=1e-12)
+    val, grad = fuzzy_value_and_grad(nnf, "fuzzy_product", x)
+    np.testing.assert_allclose(val, below[1], rtol=1e-12)
+    assert np.all(grad != 0.0)
+    np.testing.assert_allclose(grad, want, rtol=1e-9, atol=0.0)
 
 
 def test_grad_golden_product():
