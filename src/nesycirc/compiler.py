@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .errors import CircuitError
 from .formula import CNF
+from .semantics import _COUNT
 
 __all__ = [
     "CircuitNode", "Circuit", "PropertyReport", "compile_cnf", "smooth",
@@ -504,29 +505,18 @@ def model_count(c: Circuit) -> int:
     """Exact model count over the declared variable set.
 
     Requires a smooth, deterministic, decomposable circuit whose root
-    mentions every declared variable (what :func:`smooth` produces).
+    mentions every declared variable (what :func:`smooth` produces). The
+    count is the layered forward pass over Python integers, so it is exact
+    at any size.
     """
-    check_properties(c).require("decomposable", "deterministic", "smooth")
+    from .layered import LeafBatch, _forward, layerize  # layered imports this module
+    lc = layerize(c)
     full = (1 << c.num_vars) - 1
     if c.nodes[c.root].kind != "FALSE" and c.var_masks[c.root] != full:
         raise CircuitError("model_count requires the root to mention every declared "
                            "variable; smooth the circuit first")
-    vals: list[int] = [0] * len(c.nodes)
-    for i, node in enumerate(c.nodes):
-        if node.kind == "LIT":
-            vals[i] = 1
-        elif node.kind == "TRUE":
-            vals[i] = 1
-        elif node.kind == "FALSE":
-            vals[i] = 0
-        elif node.kind == "AND":
-            v = 1
-            for ch in node.children:
-                v *= vals[ch]
-            vals[i] = v
-        else:
-            vals[i] = vals[node.children[0]] + vals[node.children[1]]
-    return vals[c.root]
+    ones = [[1.0] * c.num_vars]
+    return _forward(lc, LeafBatch.from_weights(ones, ones), _COUNT)[lc.root_slot, 0]
 
 
 # ---------------------------------------------------------------------------

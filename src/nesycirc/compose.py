@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CompositionError, IncompatibleStructures
-from .semantics import Structure, get_structure, transform, transform_pairs
+from .semantics import Carrier, Structure, get_structure, transform, transform_pairs
 
 __all__ = [
     "SymTensor", "AnnotatedModule", "Violation", "Manifest", "validate",
@@ -46,12 +46,14 @@ class SymTensor:
     are always the flattened tuple. ``structure`` is a built-in tag (aliases
     resolved) or a :class:`Structure`, such as one registered on a
     ``ModuleFactory``; either way the structure's name is stored, and an
-    unknown tag raises ``StructureError``.
+    unknown tag raises ``StructureError``. The structure's carrier, which
+    validation checks values against, is kept beside the name.
     """
 
     symbols: tuple[str, ...]
     structure: str | Structure = "probability"
     shape: tuple[int, ...] | None = None
+    carrier: Carrier = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.symbols, dtype=object)
@@ -73,7 +75,9 @@ class SymTensor:
             seen.add(s)
         object.__setattr__(self, "symbols", flat)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "structure", get_structure(self.structure).name)
+        s = get_structure(self.structure)
+        object.__setattr__(self, "structure", s.name)
+        object.__setattr__(self, "carrier", s.carrier)
 
     @property
     def size(self) -> int:
@@ -186,14 +190,6 @@ def _shape_ok(spec: SymTensor, arr: np.ndarray) -> bool:
     return arr.ndim == len(spec.shape) + 1 and arr.shape[1:] == spec.shape
 
 
-def _carrier_mask(structure: str, arr: np.ndarray) -> tuple[np.ndarray, str]:
-    if structure == "log_probability":
-        return ~(arr <= 0.0), "outside [-inf, 0]"
-    if structure == "boolean":
-        return (arr != 0.0) & (arr != 1.0), "not a boolean 0/1"
-    return ~((arr >= 0.0) & (arr <= 1.0)), "outside [0, 1]"
-
-
 def _violations(module: str, role: str, specs, arrays) -> list[Violation]:
     out: list[Violation] = []
     for k, (spec, arr) in enumerate(zip(specs, arrays)):
@@ -202,13 +198,14 @@ def _violations(module: str, role: str, specs, arrays) -> list[Violation]:
             out.append(Violation(module, tensor, (), None,
                                  f"shape {arr.shape} does not match {spec.shape}"))
             continue
-        bad, reason = _carrier_mask(spec.structure, arr)
+        bad = ~spec.carrier.contains(arr)
         if bad.any():
             for idx in np.argwhere(bad)[:5]:
                 index = tuple(int(i) for i in idx)
                 val = float(arr[index]) if index else float(arr)
                 out.append(Violation(module, tensor, index, val,
-                                     f"value {val!r} {reason} for {spec.structure}"))
+                                     f"value {val!r} {spec.carrier.reason} "
+                                     f"for {spec.structure}"))
     return out
 
 

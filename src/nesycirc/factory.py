@@ -1,9 +1,12 @@
 """A configurable factory assembling logic modules from interchangeable parts.
 
-The factory bundles three registries: structures (semantics tags, possibly
-user fuzzy connective tables), aggregators (soft quantifiers over a score
-axis), and predicates (scoring functions over entity embeddings). From
-those it builds AnnotatedModules for connective application and for whole
+The factory holds the structures it adds to the one structure registry
+of :mod:`nesycirc.semantics` (user fuzzy connective tables or Structure
+objects, each under its own name) and resolves every other tag there,
+through :meth:`ModuleFactory.resolve_structure`. It also bundles two
+registries of its own: aggregators (soft quantifiers over a score axis)
+and predicates (scoring functions over entity embeddings). From those it
+builds AnnotatedModules for connective application and for whole
 formulas, so a fuzzy-logic system and a probabilistic one differ only in
 the structure tag handed to :meth:`ModuleFactory.build_formula_module`.
 
@@ -26,7 +29,7 @@ from .compose import AnnotatedModule, Manifest, SymTensor, _syms, fresh_symbol
 from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
 from .layered import LayeredCircuit, LeafBatch, evaluate, layerize
-from .semantics import (Structure, builtin_structures, canonical_tag, evaluate_fuzzy,
+from .semantics import (Structure, builtin_structures, evaluate_fuzzy,
                         fuzzy_structure_from_ops, get_structure)
 
 __all__ = [
@@ -93,23 +96,27 @@ def builtin_aggregators(p: float = 6.0) -> dict[str, Aggregator]:
 class ModuleFactory:
     """Immutable bundle of structures, aggregators, and predicates.
 
-    ``structures`` maps extra tags to Structure objects or to plain
-    connective dicts with 'not'/'and' (and optionally 'or'); built-in tags
-    are always available. ``aggregators`` maps names to Aggregator objects
-    or bare callables reducing over the last axis. ``predicates`` is an
-    iterable of Predicate definitions.
+    ``structures`` maps extra tags to Structure objects named after their
+    tag or to plain connective dicts with 'not'/'and' (and optionally
+    'or'); built-in tags and their aliases are always available.
+    ``aggregators`` maps names to Aggregator objects or bare callables
+    reducing over the last axis. ``predicates`` is an iterable of Predicate
+    definitions, whose structure tags resolve like any other.
     """
 
     def __init__(self, structures=None, aggregators=None, predicates=()):
-        merged = builtin_structures()
+        added: dict[str, Structure] = {}
         for tag, value in (structures or {}).items():
-            if isinstance(value, Structure):
-                merged[tag] = value
-            elif isinstance(value, dict):
-                merged[tag] = fuzzy_structure_from_ops(tag, value)
-            else:
+            if isinstance(value, dict):
+                value = fuzzy_structure_from_ops(tag, value)
+            elif not isinstance(value, Structure):
                 raise StructureError(
                     f"structure {tag!r} must be a Structure or a connective dict")
+            elif value.name != tag:
+                raise StructureError(f"structure {value.name!r} cannot be registered "
+                                     f"under the tag {tag!r}; tags are structure names")
+            added[tag] = value
+        self._structures = added
         aggs = builtin_aggregators()
         for name, value in (aggregators or {}).items():
             aggs[name] = value if isinstance(value, Aggregator) else Aggregator(name, value)
@@ -119,17 +126,18 @@ class ModuleFactory:
                 raise CompositionError(f"predicates must be Predicate instances, got {pred!r}")
             if pred.functor in preds:
                 raise CompositionError(f"duplicate predicate {pred.functor!r}")
-            if pred.structure not in merged:
+            try:
+                self.resolve_structure(pred.structure)
+            except StructureError:
                 raise StructureError(f"predicate {pred.functor!r} references "
-                                     f"unregistered structure {pred.structure!r}")
+                                     f"unregistered structure {pred.structure!r}") from None
             preds[pred.functor] = pred
-        self._structures = merged
         self._aggregators = aggs
         self._predicates = preds
 
     @property
     def structures(self) -> dict[str, Structure]:
-        return dict(self._structures)
+        return {**builtin_structures(), **self._structures}
 
     @property
     def aggregators(self) -> dict[str, Aggregator]:
@@ -140,12 +148,8 @@ class ModuleFactory:
         return dict(self._predicates)
 
     def resolve_structure(self, tag) -> Structure:
-        if isinstance(tag, Structure):
-            return tag
-        s = self._structures.get(canonical_tag(tag))
-        if s is None:
-            raise StructureError(f"unknown structure tag {tag!r}")
-        return s
+        """A tag this factory added, else whatever :func:`get_structure` resolves."""
+        return self._structures.get(tag) or get_structure(tag)
 
     # -- connective nodes ---------------------------------------------------
 
@@ -302,8 +306,7 @@ def _circuit_compute(cnf: CNF, s: Structure):
         arr = np.asarray(values, dtype=np.float64)
         unbatched = arr.ndim == 1
         rows = arr[None, :] if unbatched else arr
-        if s.name == "log_probability":
-            rows = np.exp(rows)
+        rows = s.semiring.unleaf(rows)
         batch = LeafBatch.from_probabilities(rows, num_vars=cnf.num_vars,
                                              aux_vars=cnf.aux_vars)
         out = evaluate(lc, batch, s)

@@ -648,25 +648,32 @@ def _residual(clauses, a: dict[int, bool]) -> list[tuple[int, ...]] | None:
 
 
 def _eval_formula(f: Formula, a: dict[int, bool]) -> bool:
-    if isinstance(f, Var):
-        if f.id not in a:
-            raise ValueError(f"missing assignment for variable {f.id}")
-        return a[f.id]
-    if isinstance(f, Not):
-        return not _eval_formula(f.child, a)
-    if isinstance(f, And):
-        return _eval_formula(f.left, a) and _eval_formula(f.right, a)
-    if isinstance(f, Or):
-        return _eval_formula(f.left, a) or _eval_formula(f.right, a)
-    if isinstance(f, Implies):
-        return (not _eval_formula(f.left, a)) or _eval_formula(f.right, a)
-    if isinstance(f, Iff):
-        return _eval_formula(f.left, a) == _eval_formula(f.right, a)
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    raise FormulaError(f"unknown formula node {type(f).__name__}")
+    """Truth value of f under a; one loop over :func:`_postorder`, every leaf read."""
+    stack: list[bool] = []
+    for node in _postorder(f):
+        if isinstance(node, Var):
+            if node.id not in a:
+                raise ValueError(f"missing assignment for variable {node.id}")
+            value = a[node.id]
+        elif isinstance(node, Not):
+            value = not stack.pop()
+        elif isinstance(node, _BINARY):
+            right = stack.pop()
+            left = stack.pop()
+            if isinstance(node, And):
+                value = left and right
+            elif isinstance(node, Or):
+                value = left or right
+            elif isinstance(node, Implies):
+                value = not left or right
+            else:
+                value = left == right
+        elif isinstance(node, (TrueF, FalseF)):
+            value = isinstance(node, TrueF)
+        else:
+            raise FormulaError(f"unknown formula node {type(node).__name__}")
+        stack.append(value)
+    return stack[0]
 
 
 def _mini_sat(clauses: list[tuple[int, ...]]) -> bool:

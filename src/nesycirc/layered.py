@@ -11,9 +11,13 @@ Supported structures are the circuit-safe ones: ``probability`` (weighted
 model counting), ``boolean`` (satisfaction indicator on 0/1 weights), and
 ``log_probability`` (log-WMC; sum layers use max-shifted log-sum-exp and an
 all-minus-infinity segment stays minus infinity rather than going NaN).
-The forward and reverse loops are written once and take every kernel from
-the structure's :class:`~nesycirc.semantics.Semiring`. Fuzzy structures are
-refused here; see :mod:`nesycirc.semantics`.
+The forward and reverse loops are written once and take every kernel, and
+the element type of their buffers, from the structure's
+:class:`~nesycirc.semantics.Semiring`; exact model counting
+(:func:`~nesycirc.compiler.model_count`) is the same forward loop on Python
+integers. Weight rows are checked against the structure's rules, never
+against a structure name. Fuzzy structures are refused here; see
+:mod:`nesycirc.semantics`.
 
 The reverse pass returns d(value)/d(p_v) per batch row for the non-auxiliary
 variables. Under the log structure the gradient is still taken with respect
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import Circuit, check_properties
-from .errors import CarrierError, CircuitError, StructureError
-from .semantics import Semiring, get_structure
+from .errors import CircuitError, StructureError
+from .semantics import Carrier, Semiring, get_structure
 
 __all__ = [
     "Layer", "LayeredCircuit", "LeafBatch", "layerize", "evaluate",
@@ -148,6 +152,9 @@ def layer_summary(lc: LayeredCircuit) -> str:
 # ---------------------------------------------------------------------------
 # Leaf weights
 
+_PROBABILITIES = get_structure("probability").carrier
+_WEIGHTS = Carrier(lambda w: w >= 0.0, "is not >= 0")
+
 
 @dataclass(frozen=True, eq=False)
 class LeafBatch:
@@ -188,11 +195,7 @@ class LeafBatch:
             p = p[None, :]
         if p.ndim != 2:
             raise ValueError(f"probability rows must be 1-D or 2-D, got shape {p.shape}")
-        bad = ~((p >= 0.0) & (p <= 1.0))
-        if bad.any():
-            b, j = map(int, np.argwhere(bad)[0])
-            raise CarrierError(
-                f"batch row {b}, variable {j + 1}: value {float(p[b, j])} outside [0, 1]")
+        _PROBABILITIES.require(p)
         aux = frozenset(aux_vars)
         n_inputs = p.shape[1]
         if num_vars is None:
@@ -217,12 +220,8 @@ class LeafBatch:
             wn = wn[None, :]
         if wp.shape != wn.shape or wp.ndim != 2:
             raise ValueError(f"weight arrays must share a 2-D shape, got {wp.shape} and {wn.shape}")
-        for name, w in (("positive", wp), ("negative", wn)):
-            bad = ~(w >= 0.0)  # catches negatives and NaN
-            if bad.any():
-                b, j = map(int, np.argwhere(bad)[0])
-                raise CarrierError(
-                    f"batch row {b}, variable {j + 1}: {name} weight {float(w[b, j])} is not >= 0")
+        _WEIGHTS.require(wp, "positive weight")
+        _WEIGHTS.require(wn, "negative weight")
         return cls(num_vars=wp.shape[1], aux_vars=frozenset(aux_vars), pos=wp, neg=wn)
 
 
@@ -233,13 +232,9 @@ def _check_compatible(c: LayeredCircuit | Circuit, batch: LeafBatch, s) -> None:
     if batch.num_vars != c.num_vars:
         raise ValueError(f"batch covers {batch.num_vars} variables, "
                          f"circuit declares {c.num_vars}")
-    if s.name == "boolean":
-        for name, w in (("positive", batch.pos), ("negative", batch.neg)):
-            bad = (w != 0.0) & (w != 1.0)
-            if bad.any():
-                b, j = map(int, np.argwhere(bad)[0])
-                raise CarrierError(f"batch row {b}, variable {j + 1}: {name} weight "
-                                   f"{float(w[b, j])} is not a boolean 0/1")
+    if s.weights is not None:
+        s.weights.require(batch.pos, "positive weight")
+        s.weights.require(batch.neg, "negative weight")
 
 
 def _leaf_values(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
@@ -257,7 +252,7 @@ def _leaf_values(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarr
 
 
 def _forward(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
-    buf = np.empty((lc.n_slots, batch.batch_size))
+    buf = np.empty((lc.n_slots, batch.batch_size), dtype=sr.dtype)
     buf[:lc.n_leaves] = _leaf_values(lc, batch, sr)
     for layer in lc.layers[1:]:
         reduce = sr.segment_prod if layer.kind == "PROD" else sr.segment_sum

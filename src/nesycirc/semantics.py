@@ -1,35 +1,40 @@
 """Pluggable algebraic structures giving meaning to formulas and circuits.
 
-A structure fixes the carrier set and how sum nodes, product nodes, and
-weighted leaves combine. Boolean, probability, and log-probability structures
-are circuit safe: evaluating a compiled circuit under them agrees with the
-formula semantics. Each carries a :class:`Semiring`, the handful of kernels
-the layered circuit pass in :mod:`nesycirc.layered` runs, so one forward and
-one reverse loop serve all three (algebraic model counting). Boolean and
-probability share the linear semiring; the boolean 0/1 carrier is checked on
-the inputs. The fuzzy families are not circuit safe; decision splits and
-smoothing gadgets are WMC-preserving rewrites, not fuzzy-value-preserving
-ones, so fuzzy evaluation works on the NNF formula tree only: one forward
-loop over its nodes, children first, and for gradients one reverse sweep
-over the same nodes.
+A structure fixes its carrier set and how sum nodes, product nodes, and
+weighted leaves combine. It is the one place that knows which values it
+accepts: its :class:`Carrier` is a membership test plus the phrase a
+violation reports, and every value check in the package asks it rather
+than comparing structure names. Boolean, probability, and log-probability
+structures are circuit safe: evaluating a compiled circuit under them
+agrees with the formula semantics. Each carries a :class:`Semiring`, the
+handful of kernels the layered circuit pass in :mod:`nesycirc.layered`
+runs, so one forward and one reverse loop serve all three (algebraic model
+counting); exact model counting runs the same forward loop on Python
+integers. Boolean and probability share the linear semiring; the boolean
+structure adds a rule for its leaf weights. The fuzzy families are not
+circuit safe; decision splits and smoothing gadgets are WMC-preserving
+rewrites, not fuzzy-value-preserving ones, so fuzzy evaluation works on the
+NNF formula tree only: one forward loop over its nodes, children first, and
+for gradients one reverse sweep over the same nodes.
 
-Structure tags resolve through one alias table (:func:`canonical_tag`).
-Structure-to-structure value conversions live in an explicit closed table
-(:func:`transform`); any pair not listed raises, including identity pairs.
+Structure tags resolve through one registry and alias table
+(:func:`get_structure`). Structure-to-structure value conversions live in
+an explicit closed table (:func:`transform`); any pair not listed raises,
+including identity pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import FormulaError, IncompatibleStructures, StructureError
+from .errors import CarrierError, FormulaError, IncompatibleStructures, StructureError
 from .formula import And, FalseF, Not, Or, TrueF, Var, _postorder
 
 __all__ = [
-    "FuzzyConnectives", "Semiring", "Structure", "builtin_structures",
+    "Carrier", "FuzzyConnectives", "Semiring", "Structure", "builtin_structures",
     "canonical_tag", "get_structure",
     "fuzzy_structure_from_ops", "evaluate_fuzzy", "fuzzy_value_and_grad",
     "transform", "transform_pairs",
@@ -107,10 +112,12 @@ def _normalized_exp(ladj, log_z):
 class Semiring:
     """The kernels one layered circuit pass needs, forward and reverse.
 
-    ``leaf`` maps literal weights into the carrier. Segmented reductions
-    take ``(g, off, lens)``: child values gathered along axis 0, the start
-    of each node's segment, and its length. Adjoints start at ``zero``,
-    the root's at ``one``.
+    ``leaf`` maps literal weights into the carrier and ``unleaf`` maps
+    carrier values back to linear weights, which is how values under the
+    structure become leaf weights. Segmented reductions take
+    ``(g, off, lens)``: child values gathered along axis 0, the start of
+    each node's segment, and its length. ``dtype`` is the element type of
+    the pass's buffers. Adjoints start at ``zero``, the root's at ``one``.
     ``siblings`` gives each child the product of the other children in its
     segment; ``times`` combines that with the parent adjoint and
     ``scatter_add(adj, index, values)`` accumulates into the child rows.
@@ -121,16 +128,18 @@ class Semiring:
     zero: float
     one: float
     leaf: Callable
+    unleaf: Callable
     segment_prod: Callable
     segment_sum: Callable
     siblings: Callable
     times: Callable
     scatter_add: Callable
     finish: Callable
+    dtype: type = np.float64
 
 
 _LINEAR = Semiring(
-    zero=0.0, one=1.0, leaf=lambda w: w,
+    zero=0.0, one=1.0, leaf=lambda w: w, unleaf=lambda v: v,
     segment_prod=lambda g, off, lens: np.multiply.reduceat(g, off, axis=0),
     segment_sum=lambda g, off, lens: np.add.reduceat(g, off, axis=0),
     siblings=_sibling_products, times=np.multiply, scatter_add=np.add.at,
@@ -138,27 +147,69 @@ _LINEAR = Semiring(
 )
 
 _LOG = Semiring(
-    zero=-np.inf, one=0.0, leaf=_log,
+    zero=-np.inf, one=0.0, leaf=_log, unleaf=np.exp,
     segment_prod=lambda g, off, lens: np.add.reduceat(g, off, axis=0),
     segment_sum=_segmented_logsumexp,
     siblings=_sibling_logsums, times=np.add, scatter_add=np.logaddexp.at,
     finish=_normalized_exp,
 )
 
+# Exact model counting: the linear forward kernels on Python integers held
+# in object buffers, so counts never round. Its reverse kernels go unused.
+_COUNT = replace(_LINEAR, leaf=lambda w: w.astype(np.int64), dtype=object)
+
+
+@dataclass(frozen=True)
+class Carrier:
+    """A set of values: a membership test and the phrase reporting a non-member.
+
+    ``contains`` maps a float array to its elementwise membership mask (NaN
+    is never a member); ``reason`` ends a violation message such as
+    ``value 1.5 outside [0, 1]``.
+    """
+
+    contains: Callable
+    reason: str
+
+    def require(self, values: np.ndarray, what: str = "value", error=CarrierError) -> None:
+        """Raise ``error`` naming the first entry of ``values`` outside the set.
+
+        The entry is reported as ``batch row b, variable j``: axis 0 is the
+        batch and the other axes flatten to 1-based variables; an array of
+        fewer than two axes is one row.
+        """
+        bad = ~self.contains(values)
+        if bad.any():
+            rows = bad.reshape(len(bad) if bad.ndim > 1 else 1, -1)
+            b, j = map(int, np.argwhere(rows)[0])
+            value = float(values.reshape(rows.shape)[b, j])
+            raise error(f"batch row {b}, variable {j + 1}: {what} {value} {self.reason}")
+
+
+_UNIT = Carrier(lambda v: (v >= 0.0) & (v <= 1.0), "outside [0, 1]")
+_BINARY = Carrier(lambda v: (v == 0.0) | (v == 1.0), "not a boolean 0/1")
+
 
 @dataclass(frozen=True)
 class Structure:
     """A semantics tag, its carrier, and the rules that evaluate under it.
 
-    Circuit-safe structures carry a ``semiring`` for the layered circuit
-    pass; fuzzy families carry ``fuzzy`` connectives for formula trees.
+    ``carrier`` holds the structure's values; module inputs and outputs
+    under its tag are checked against it. Circuit-safe structures carry a
+    ``semiring`` for the layered circuit pass; fuzzy families carry
+    ``fuzzy`` connectives for formula trees. Leaf weights are not values: a
+    weighted count takes any weight >= 0, and the log structure takes its
+    weights in linear space. So ``weights``, when set, is the extra rule
+    every leaf weight of a circuit evaluated under the structure must meet;
+    the boolean structure admits 0/1 weights only.
     """
 
     name: str
-    carrier: str
+    carrier: Carrier
     differentiable: bool
     semiring: Semiring | None = None
     fuzzy: FuzzyConnectives | None = None
+    weights: Carrier | None = None
 
     @property
     def circuit_safe(self) -> bool:
@@ -212,15 +263,17 @@ _LUKASIEWICZ = FuzzyConnectives(
 
 
 def _make_fuzzy(name: str, conn: FuzzyConnectives) -> Structure:
-    return Structure(name=name, carrier="[0, 1]", differentiable=True, fuzzy=conn)
+    return Structure(name=name, carrier=_UNIT, differentiable=True, fuzzy=conn)
 
 
 _BUILTINS: dict[str, Structure] = {
-    "boolean": Structure(name="boolean", carrier="{0, 1}", differentiable=False,
-                         semiring=_LINEAR),
-    "probability": Structure(name="probability", carrier="[0, 1]", differentiable=True,
+    "boolean": Structure(name="boolean", carrier=_BINARY, differentiable=False,
+                         semiring=_LINEAR,
+                         weights=replace(_BINARY, reason="is not a boolean 0/1")),
+    "probability": Structure(name="probability", carrier=_UNIT, differentiable=True,
                              semiring=_LINEAR),
-    "log_probability": Structure(name="log_probability", carrier="[-inf, 0]",
+    "log_probability": Structure(name="log_probability",
+                                 carrier=Carrier(lambda v: v <= 0.0, "outside [-inf, 0]"),
                                  differentiable=True, semiring=_LOG),
     "fuzzy_product": _make_fuzzy("fuzzy_product", _PRODUCT),
     "fuzzy_godel": _make_fuzzy("fuzzy_godel", _GODEL),
@@ -362,21 +415,18 @@ def fuzzy_value_and_grad(f, s, var_scores):
 # Structure-to-structure transformations
 
 
-def _prob_to_log(values):
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(values, dtype=np.float64))
+# the boolean carrier, worded as the precondition of an embedding
+_EMBEDDABLE = replace(_BINARY, reason="is not exactly 0 or 1")
 
 
 def _bool_embed(values):
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise StructureError("boolean values must be exactly 0 or 1")
-    return arr
+    _EMBEDDABLE.require(values, "boolean value", StructureError)
+    return values
 
 
 _TRANSFORMS: dict[tuple[str, str], Callable] = {
-    ("probability", "log_probability"): _prob_to_log,
-    ("log_probability", "probability"): lambda v: np.exp(np.asarray(v, dtype=np.float64)),
+    ("probability", "log_probability"): _LOG.leaf,
+    ("log_probability", "probability"): _LOG.unleaf,
     ("boolean", "probability"): _bool_embed,
     ("boolean", "fuzzy_product"): _bool_embed,
     ("boolean", "fuzzy_godel"): _bool_embed,
@@ -400,4 +450,4 @@ def transform(values, frm, to):
     fn = _TRANSFORMS.get((frm.name, to.name))
     if fn is None:
         raise IncompatibleStructures(frm.name, to.name)
-    return fn(values)
+    return fn(np.asarray(values, dtype=np.float64))

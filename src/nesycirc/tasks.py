@@ -30,6 +30,7 @@ from .errors import CompositionError
 from .factory import CircuitBackend
 from .formula import CNF
 from .layered import LeafBatch, backward, evaluate, evaluate_recursive, layerize
+from .semantics import get_structure
 
 __all__ = [
     "AdditionProblem", "TimingReport", "build_addition", "addition_batch",
@@ -48,7 +49,7 @@ def _circuit_backend(m: AnnotatedModule) -> CircuitBackend:
         raise CompositionError(
             f"{m.name} is not circuit-backed; build it with "
             f"ModuleFactory.build_formula_module or module_from_dimacs")
-    if back.structure not in ("probability", "log_probability"):
+    if not get_structure(back.structure).differentiable:
         raise CompositionError(f"semantic loss needs a probability or log-structure "
                                f"module, {m.name} uses {back.structure!r}")
     return back

@@ -113,6 +113,12 @@ def test_check_properties_flags_unsmooth_or():
     assert report.violations["smooth"] == [4]
 
 
+def test_model_count_is_exact_past_float_precision():
+    assert model_count(smooth(compile_cnf(CNF(121, ((1,),))))) == 2 ** 120
+    pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(40))
+    assert model_count(smooth(compile_cnf(CNF(80, pairs)))) == 3 ** 40  # > 2**53
+
+
 def test_model_count_requires_properties():
     nodes = (_lit(1), _lit(2), CircuitNode("OR", children=(0, 1), decision_var=1))
     with pytest.raises(CircuitError, match="deterministic"):

@@ -1,5 +1,7 @@
 """Factory-built modules: connectives, aggregators, predicates, formulas."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from nesycirc.factory import (Aggregator, CircuitBackend, EqualityPredicate,
                               ModuleFactory, Predicate, builtin_aggregators,
                               load_factory_config, p_mean)
 from nesycirc.formula import make_name_table, parse_formula
-from nesycirc.semantics import Structure
+from nesycirc.semantics import Structure, get_structure
 
 EXISTS_HALF = 0.5 ** (1.0 / 6.0)  # p-mean of [1, 0] at the default p = 6
 
@@ -286,6 +288,31 @@ def test_custom_structure_dict():
 def test_bad_structure_value():
     with pytest.raises(StructureError, match="must be a Structure or a connective dict"):
         ModuleFactory(structures={"my": "product"})
+
+
+def test_structure_must_be_registered_under_its_name():
+    other = replace(get_structure("fuzzy_godel"), name="other")
+    with pytest.raises(StructureError, match="'other' cannot be registered under the tag 'my'"):
+        ModuleFactory(structures={"my": other})
+    f = ModuleFactory(structures={"my": replace(other, name="my")})
+    m = f.unary_node("not", f.build_formula_module(_parse("A & B", ("A", "B")), "my"))
+    assert float(m(np.array([0.25, 0.5]))) == pytest.approx(0.75)
+
+
+def test_registered_fuzzy_tag_checks_unit_carrier():
+    f = ModuleFactory(structures={"my": {"not": lambda x: 1 - x,
+                                         "and": lambda x, y: x * y}})
+    m = f.build_formula_module(_parse("A & B", ("A", "B")), "my")
+    with pytest.raises(CompositionError, match=r"value 1\.5 outside \[0, 1\] for my"):
+        m(np.array([1.5, 0.5]))
+
+
+def test_predicate_structure_resolves_aliases():
+    f = ModuleFactory(predicates=[Predicate("p", 1, "log", lambda x: np.log(x))])
+    out = f.apply_predicate("p", np.array([0.5]))
+    assert out.output_spec[0].structure == "log_probability"
+    with pytest.raises(StructureError, match="references unregistered structure 'zadeh'"):
+        ModuleFactory(predicates=[Predicate("q", 1, "zadeh", lambda x: x)])
 
 
 def test_resolve_structure(pf):

@@ -233,6 +233,16 @@ def test_long_conjunction_compiles_and_evaluates():
     assert float(value[0]) == pytest.approx(0.999 ** n, rel=1e-9)
 
 
+def test_deep_formula_evaluates_without_recursion():
+    f = Var(1)
+    for _ in range(3000):
+        f = And(Var(2), f)
+    assert eval_assignment(f, {1: True, 2: True})
+    assert brute_force_models(f) == [{1: True, 2: True}]
+    with pytest.raises(ValueError, match="missing assignment for variable 2"):
+        eval_assignment(Or(TRUE, Var(2)), {1: True})
+
+
 @given(formulas(max_vars=4, max_depth=3))
 def test_to_cnf_models_extend_uniquely(f):
     """Every model of f lifts to exactly one model of its clause encoding."""

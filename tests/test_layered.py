@@ -98,8 +98,9 @@ def test_boolean_agrees_with_assignment_evaluation(cnf, seed):
 @pytest.mark.parametrize("layered", [True, False], ids=["evaluate", "evaluate_recursive"])
 def test_boolean_rejects_fractional_weights(ex1_layered, layered):
     _, c, lc = ex1_layered
-    batch = LeafBatch.from_probabilities([[0.5, 0.0, 1.0]])
-    with pytest.raises(CarrierError, match="boolean"):
+    batch = LeafBatch.from_probabilities([[1.0, 0.0, 1.0], [1.0, 0.5, 1.0]])
+    with pytest.raises(CarrierError, match=r"batch row 1, variable 2: positive weight "
+                                           r"0\.5 is not a boolean 0/1"):
         if layered:
             evaluate(lc, batch, "boolean")
         else:

@@ -1,13 +1,18 @@
 """Structure registry, fuzzy evaluation, and the transform table."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nesycirc
+
 from nesycirc.errors import FormulaError, IncompatibleStructures, StructureError
 from nesycirc.formula import (And, Not, Or, Var, make_name_table,
                               parse_formula, to_cnf, to_nnf)
-from nesycirc.semantics import (builtin_structures, evaluate_fuzzy,
+from nesycirc.semantics import (builtin_structures, canonical_tag, evaluate_fuzzy,
                                 fuzzy_structure_from_ops,
                                 fuzzy_value_and_grad, get_structure,
                                 transform, transform_pairs)
@@ -51,6 +56,41 @@ def test_circuit_safety_flags():
     assert b["boolean"].semiring is b["probability"].semiring
     assert not b["boolean"].differentiable
     assert all(b[n].differentiable for n in FUZZY)
+
+
+def _tag_literals(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [t for elt in node.elts for t in _tag_literals(elt)]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and canonical_tag(node.value) in builtin_structures():
+        return [node.value]
+    return []
+
+
+def test_no_structure_name_branches_outside_semantics():
+    """Only semantics.py compares values with built-in structure tags.
+
+    Everything else asks the structure (its carrier, semiring, weight rule
+    or flags). The one exception is ``layered.evaluate_recursive``, the
+    reference evaluator, which keeps its own log/linear branches so that it
+    stays independent of the semirings it checks.
+    """
+    branches = []
+    for path in sorted(Path(nesycirc.__file__).parent.glob("*.py")):
+        if path.name == "semantics.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(n) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and (path.name, fn.name) == ("layered.py", "evaluate_recursive")
+                  for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and id(node) not in exempt \
+                    and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                            for op in node.ops) \
+                    and any(_tag_literals(x) for x in (node.left, *node.comparators)):
+                branches.append(f"{path.name}:{node.lineno}")
+    assert branches == []
 
 
 # ---------------------------------------------------------------------------
