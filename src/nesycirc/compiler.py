@@ -5,9 +5,10 @@ the live clauses into variable-disjoint connected components (each becomes a
 child of an AND node), and binary decision splits. A decision produces
 ``OR(AND(v, sub_t), AND(~v, sub_f))`` with the decision variable recorded on
 the OR node, which makes the two branches mutually inconsistent by
-construction. Components are cached under the key (sorted live clause ids,
-assigned literals touching those clauses), so structurally identical residual
-subproblems compile once.
+construction. A component is the tuple of its residual clauses (the live
+clauses with their false literals dropped), and it is its own cache key, so a
+residual subproblem compiles once however it is reached. The search is one
+loop over an explicit stack of components, with no recursion.
 
 Circuit files are plain text::
 
@@ -29,10 +30,13 @@ inspection.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import chain
 
 from .errors import CircuitError
-from .formula import CNF
+from .formula import CNF, _var_range_problem
 from .semantics import _COUNT
 
 __all__ = [
@@ -72,6 +76,9 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "aux_vars", frozenset(self.aux_vars))
+        problem = _var_range_problem(self.num_vars, self.aux_vars)
+        if problem:
+            raise CircuitError(problem)
         if not self.nodes:
             raise CircuitError("a circuit needs at least one node")
         if not 0 <= self.root < len(self.nodes):
@@ -136,9 +143,6 @@ class _Builder:
         if hit is not None:
             return hit
         return self._add(key, CircuitNode("LIT", literal=literal), 1 << (abs(literal) - 1))
-
-    def kind(self, nid: int) -> str:
-        return self.nodes[nid].kind
 
     def conj(self, ids: list[int]) -> int:
         flat: list[int] = []
@@ -211,157 +215,120 @@ def compile_cnf(cnf: CNF) -> Circuit:
     """Compile a CNF into a deterministic decomposable circuit.
 
     The output is deterministic for a given input: branch variables are
-    chosen by most occurrences in the shortest live clauses with ties going
-    to the lowest id, and components are visited in sorted order.
+    chosen by most occurrences in the shortest residual clauses with ties
+    going to the lowest id, units are propagated lowest clause first, and
+    components are compiled in the order of their first clause.
     Unsatisfiable input yields the single FALSE node.
+
+    The search is one loop over an explicit stack of components, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
     builder = _Builder(cnf.num_vars)
-    if cnf.unsat:
-        return builder.finish(builder.false(), cnf.aux_vars)
-    clauses = list(cnf.clauses)
-    m = len(clauses)
-    if m == 0:
-        return builder.finish(builder.true(), cnf.aux_vars)
+    top = None if cnf.unsat else _condition(cnf.clauses, _occurrences(cnf.clauses), ())
+    cache: dict[tuple, int] = {}
 
-    clause_vars: list[tuple[int, ...]] = [tuple(dict.fromkeys(abs(l) for l in c)) for c in clauses]
-    occ: dict[int, list[int]] = {}
-    for cid, clause in enumerate(clauses):
+    def branch_node(branch) -> int:
+        if branch is None:
+            return builder.false()
+        forced, comps = branch
+        return builder.conj([builder.lit(l) for l in forced] + [cache[c] for c in comps])
+
+    # entries are [component, None] until the component's branches are
+    # conditioned, then [component, (v, true branch, false branch)]
+    stack = [] if top is None else [[c, None] for c in reversed(top[1])]
+    while stack:
+        entry = stack[-1]
+        comp, split = entry
+        if split is None:
+            if comp in cache:
+                stack.pop()
+                continue
+            v = _pick_var(comp)
+            occ = _occurrences(comp)
+            entry[1] = split = (v, _condition(comp, occ, (v,)), _condition(comp, occ, (-v,)))
+            for branch in (split[2], split[1]):
+                if branch is not None:
+                    stack.extend([c, None] for c in reversed(branch[1]))
+            continue
+        stack.pop()
+        v, sub_t, sub_f = split
+        cache[comp] = builder.disj(branch_node(sub_t), branch_node(sub_f), v)
+    return builder.finish(branch_node(top), cnf.aux_vars)
+
+
+def _occurrences(clauses) -> dict[int, list[int]]:
+    """Map each literal to the indices of the clauses that contain it."""
+    occ: defaultdict[int, list[int]] = defaultdict(list)
+    for i, clause in enumerate(clauses):
         for lit in clause:
-            occ.setdefault(lit, []).append(cid)
-    occ_get = occ.get
-    assign = [0] * (cnf.num_vars + 1)
-    n_unass = [len(c) for c in clauses]
-    sat_by = [0] * m
-    trail: list[int] = []  # encoded: var stored as 3*v, sat cid as 3*c+1, unass cid as 3*c+2
-    cache: dict = {}
-    empty: tuple[int, ...] = ()
-
-    def assign_lit(lit: int) -> bool:
-        v = lit if lit > 0 else -lit
-        assign[v] = 1 if lit > 0 else -1
-        trail.append(3 * v)
-        for cid in occ_get(lit, empty):
-            if not sat_by[cid]:
-                sat_by[cid] = lit
-                trail.append(3 * cid + 1)
-        ok = True
-        for cid in occ_get(-lit, empty):
-            n_unass[cid] -= 1
-            trail.append(3 * cid + 2)
-            if not sat_by[cid] and n_unass[cid] == 0:
-                ok = False
-        return ok
-
-    def rollback(mark: int):
-        while len(trail) > mark:
-            code = trail.pop()
-            x, tag = divmod(code, 3)
-            if tag == 0:
-                assign[x] = 0
-            elif tag == 1:
-                sat_by[x] = 0
-            else:
-                n_unass[x] += 1
-
-    def compile_scope(scope) -> int:
-        mark = len(trail)
-        props: list[int] = []
-        while True:
-            unit = 0
-            for cid in scope:
-                if not sat_by[cid] and n_unass[cid] == 1:
-                    for l in clauses[cid]:
-                        if not assign[abs(l)]:
-                            unit = l
-                            break
-                    break
-            if not unit:
-                break
-            props.append(unit)
-            if not assign_lit(unit):
-                rollback(mark)
-                return builder.false()
-        live = [cid for cid in scope if not sat_by[cid]]
-        parts = [builder.lit(l) for l in props]
-        if live:
-            for comp in _split_components(live, clause_vars, assign):
-                node = compile_component(comp)
-                if builder.kind(node) == "FALSE":
-                    rollback(mark)
-                    return node
-                parts.append(node)
-        rollback(mark)
-        return builder.conj(parts)
-
-    def compile_component(comp: list[int]) -> int:
-        touch: set[int] = set()
-        for cid in comp:
-            for v in clause_vars[cid]:
-                av = assign[v]
-                if av:
-                    touch.add(v if av > 0 else -v)
-        key = (tuple(comp), tuple(sorted(touch)))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        v = _pick_var(comp, clauses, clause_vars, n_unass, assign)
-        mark = len(trail)
-        sub_t = compile_scope(comp) if assign_lit(v) else builder.false()
-        rollback(mark)
-        sub_f = compile_scope(comp) if assign_lit(-v) else builder.false()
-        rollback(mark)
-        node = builder.disj(builder.conj([builder.lit(v), sub_t]),
-                            builder.conj([builder.lit(-v), sub_f]), v)
-        cache[key] = node
-        return node
-
-    root = compile_scope(range(m))
-    return builder.finish(root, cnf.aux_vars)
+            occ[lit].append(i)
+    return occ
 
 
-def _split_components(live, clause_vars, assign):
-    """Group live clauses into connected components over unassigned variables."""
-    var2cl: dict[int, list[int]] = {}
-    for cid in live:
-        for v in clause_vars[cid]:
-            if not assign[v]:
-                var2cl.setdefault(v, []).append(cid)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in live:
-        if start in seen:
+def _condition(comp, occ, lits):
+    """Set ``lits`` true in the clauses ``comp`` and propagate units.
+
+    ``occ`` is ``_occurrences(comp)``. Returns ``(forced, comps)``: every
+    literal set true, ``lits`` first, and the residual clauses (false
+    literals dropped) grouped into variable-disjoint components, each a
+    tuple in clause order, ordered by their first clause. Returns ``None``
+    if a clause is falsified.
+    """
+    n = len(comp)
+    left = list(map(len, comp))
+    sat = [False] * n
+    true: set[int] = set()
+    forced = list(lits)
+    units = [i for i, m in enumerate(left) if m == 1]  # a heap of clause indices
+    k = 0
+    while True:
+        # once every forced literal is set, force the lowest unit clause
+        while k == len(forced) and units:
+            i = heappop(units)
+            if not sat[i]:
+                forced.append(next(l for l in comp[i] if -l not in true))
+        if k == len(forced):
+            break
+        lit = forced[k]
+        k += 1
+        true.add(lit)
+        for i in occ.get(lit, ()):
+            sat[i] = True
+        for i in occ.get(-lit, ()):
+            if not sat[i]:
+                left[i] -= 1
+                if left[i] == 0:
+                    return None
+                if left[i] == 1:
+                    heappush(units, i)
+    # group the live clauses; from here on ``sat`` also marks grouped ones
+    comps = []
+    reached: set[int] = set()
+    for start in range(n):
+        if sat[start]:
             continue
-        seen.add(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            cid = stack.pop()
-            for v in clause_vars[cid]:
-                lst = var2cl.get(v)
-                if not lst:
+        sat[start] = True
+        group = [start]
+        for i in group:
+            for l in comp[i]:
+                v = abs(l)
+                if -l in true or v in reached:
                     continue
-                var2cl[v] = ()
-                for nc in lst:
-                    if nc not in seen:
-                        seen.add(nc)
-                        comp.append(nc)
-                        stack.append(nc)
-        comp.sort()
-        comps.append(comp)
-    comps.sort()
-    return comps
+                reached.add(v)
+                for j in chain(occ.get(v, ()), occ.get(-v, ())):
+                    if not sat[j]:
+                        sat[j] = True
+                        group.append(j)
+        group.sort()
+        comps.append(tuple(comp[i] if left[i] == len(comp[i])
+                           else tuple([l for l in comp[i] if -l not in true])
+                           for i in group))
+    return forced, comps
 
 
-def _pick_var(comp, clauses, clause_vars, n_unass, assign):
-    best_len = min(n_unass[cid] for cid in comp)
-    counts: dict[int, int] = {}
-    for cid in comp:
-        if n_unass[cid] != best_len:
-            continue
-        for l in clauses[cid]:
-            v = abs(l)
-            if not assign[v]:
-                counts[v] = counts.get(v, 0) + 1
+def _pick_var(comp) -> int:
+    best_len = min(map(len, comp))
+    counts = Counter(map(abs, chain.from_iterable(c for c in comp if len(c) == best_len)))
     return min(counts, key=lambda v: (-counts[v], v))
 
 
@@ -576,9 +543,9 @@ def circuit_from_text(text: str) -> Circuit:
             else:
                 nodes.append(CircuitNode(kind, children=tuple(ints)))
         else:
-            if len(parts) > 2:
+            if len(parts) > 2 and parts[0] != "aux":
                 raise CircuitError(f"malformed header line {ln!r}")
-            header[parts[0]] = parts[1] if len(parts) == 2 else ""
+            header[parts[0]] = " ".join(parts[1:])
     for key in ("nvars", "nnodes", "root"):
         if key not in header:
             raise CircuitError(f"missing {key!r} header")

@@ -77,8 +77,9 @@ class CNF:
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         object.__setattr__(self, "aux_vars", frozenset(self.aux_vars))
-        if self.num_vars < 0:
-            raise ValueError("num_vars must be nonnegative")
+        problem = _var_range_problem(self.num_vars, self.aux_vars)
+        if problem:
+            raise ValueError(problem)
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause; use the unsat marker instead")
@@ -89,15 +90,27 @@ class CNF:
                 if -lit in seen:
                     raise ValueError(f"tautological clause {clause}")
                 seen.add(lit)
-        if self.aux_vars:
-            lo = min(self.aux_vars)
-            if self.aux_vars != frozenset(range(lo, self.num_vars + 1)):
-                raise ValueError("auxiliary variables must occupy the top of the id range")
 
     @property
     def n_inputs(self) -> int:
         """Number of non-auxiliary variables."""
         return self.num_vars - len(self.aux_vars)
+
+
+def _var_range_problem(num_vars: int, aux_vars: frozenset[int]) -> str:
+    """What is wrong with a variable count and auxiliary set, or ``""``.
+
+    Variables are ``1..num_vars``, and the auxiliaries must be a (possibly
+    empty) top slice of that range. :class:`CNF` and circuits share this
+    rule.
+    """
+    if num_vars < 0:
+        return "num_vars must be nonnegative"
+    if aux_vars:
+        lo = min(aux_vars)
+        if lo < 1 or aux_vars != frozenset(range(lo, num_vars + 1)):
+            return "auxiliary variables must occupy the top of the id range"
+    return ""
 
 
 def parse_dimacs(text: str) -> CNF:

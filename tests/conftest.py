@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -5,6 +7,20 @@ settings.register_profile(
     "suite", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("suite")
+
+
+@pytest.fixture()
+def shallow_recursion():
+    """Lower the recursion limit to this fixture's stack depth plus 60
+    frames for one test, so a recursive walk of a large input fails at
+    once instead of only past the default limit of 1000 frames."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 _CRITERIA = {

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: outputs, formats, and the exit-code contract."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from nesycirc.cli import main
 from nesycirc.compiler import compile_cnf, save_circuit
-from nesycirc.formula import parse_dimacs
+from nesycirc.formula import parse_dimacs, serialize_dimacs
+from nesycirc.tasks import build_addition
 
 from test_formula import EX1
 
@@ -70,6 +75,20 @@ def test_compile_is_deterministic(dimacs_file, tmp_path):
     main(["compile", "--dimacs", dimacs_file, "--out", str(a)])
     main(["compile", "--dimacs", dimacs_file, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_compile_output_does_not_depend_on_hash_seed(tmp_path):
+    src = tmp_path / "add.cnf"
+    src.write_text(serialize_dimacs(build_addition(2, 99).cnf))
+    texts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.nnfc"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nesycirc", "compile", "--dimacs", str(src), "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_compile_needs_exactly_one_input(dimacs_file, tmp_path, capsys):
@@ -281,6 +300,14 @@ def test_check_rejects_malformed_node_record(tmp_path, capsys):
         f"error[format]: {bad}: malformed node record 'node 0 LIT'\n"
 
 
+def test_check_rejects_aux_outside_variable_range(tmp_path, capsys):
+    bad = tmp_path / "bad.nnfc"
+    bad.write_text("nnfc 1\nnvars 2\naux 7\nnnodes 1\nroot 0\nnode 0 TRUE\n")
+    assert main(["check", "--circuit", str(bad)]) == 2
+    assert capsys.readouterr().err == (f"error[format]: {bad}: auxiliary variables "
+                                       "must occupy the top of the id range\n")
+
+
 def test_deep_and_chain_circuit(tmp_path, capsys):
     # OR on variable 1 over a chain of 3000 one-child ANDs ending in LIT 1,
     # and LIT -1: valid, but deeper than the interpreter's recursion limit
@@ -380,8 +407,6 @@ def test_version(capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
     proc = subprocess.run([sys.executable, "-m", "nesycirc", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0

@@ -1,5 +1,6 @@
 """Compilation into decomposable, deterministic, smooth circuits."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from nesycirc.compiler import (Circuit, CircuitNode, check_properties,
                                load_circuit, model_count, save_circuit, smooth)
 from nesycirc.errors import CircuitError
 from nesycirc.formula import CNF, brute_force_models, parse_dimacs
+from nesycirc.layered import LeafBatch, evaluate, layerize
 
 from test_formula import EX1, cnfs
 
@@ -62,6 +64,16 @@ def test_independent_blocks_multiply():
     assert c_both == c_left * c_left
 
 
+def test_compile_long_implication_chain(shallow_recursion):
+    """x_1 -> x_2 -> ... -> x_1000 has 1001 models; no stage may recurse."""
+    n = 1000
+    c = smooth(compile_cnf(CNF(n, tuple((-i, i + 1) for i in range(1, n)))))
+    lc = layerize(c)
+    assert model_count(c) == n + 1
+    value = evaluate(lc, LeafBatch.from_probabilities(np.full((1, n), 0.5)), "probability")
+    assert float(value[0]) == pytest.approx((n + 1) / 2 ** n, rel=1e-12)
+
+
 def test_smooth_is_idempotent(ex1):
     once = smooth(compile_cnf(ex1))
     twice = smooth(once)
@@ -76,10 +88,11 @@ def test_smooth_extends_root_to_all_declared_vars():
 
 
 def test_aux_vars_survive_compilation(ex1):
-    cnf = CNF(ex1.num_vars + 1, ex1.clauses + ((-4, 2), (4, -2)),
-              aux_vars={4})
+    cnf = CNF(ex1.num_vars + 2, ex1.clauses + ((-4, 2), (4, -2), (-5, 3), (5, -3)),
+              aux_vars={4, 5})
     c = smooth(compile_cnf(cnf))
-    assert c.aux_vars == frozenset({4})
+    assert c.aux_vars == frozenset({4, 5})
+    assert circuit_from_text(circuit_to_text(c)).aux_vars == c.aux_vars
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +185,8 @@ def test_file_round_trip_ignores_comments(tmp_path, ex1):
     ("nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnode 0 LIT x", "malformed node record"),
     ("nnfc 1\nnvars 2\naux\nnnodes 3\nroot 2\nnode 0 LIT 1\nnode 1 LIT 2\n"
      "node 2 AND 0 z", "malformed node record"),
+    ("nnfc 1\nnvars 2\naux 7\nnnodes 1\nroot 0\nnode 0 TRUE", "top of the id range"),
+    ("nnfc 1\nnvars -1\naux\nnnodes 1\nroot 0\nnode 0 TRUE", "nonnegative"),
 ])
 def test_bad_circuit_text_is_rejected(text, match):
     with pytest.raises(CircuitError, match=match):

@@ -108,6 +108,8 @@ def test_cnf_rejects_empty_clause_and_bad_literals():
         CNF(2, ((1, -1),))
     with pytest.raises(ValueError, match="top of the id range"):
         CNF(3, ((1,),), aux_vars={2})
+    with pytest.raises(ValueError, match="top of the id range"):
+        CNF(2, ((1,),), aux_vars={0, 1, 2})  # 0 is not a variable
 
 
 # ---------------------------------------------------------------------------
