@@ -2,7 +2,11 @@
 
 The compiler runs an exhaustive DPLL search: unit propagation, splitting of
 the live clauses into variable-disjoint connected components (each becomes a
-child of an AND node), and binary decision splits. A decision produces
+child of an AND node), and binary decision splits. The decision variable has
+the most occurrences in the shortest residual clauses; ties go to the
+variable that a min-degree elimination of the CNF's primal graph removes
+last, so that decisions cut the constraint graph into components early, as a
+dtree built from an elimination order does. A decision produces
 ``OR(AND(v, sub_t), AND(~v, sub_f))`` with the decision variable recorded on
 the OR node, which makes the two branches mutually inconsistent by
 construction. A component is the tuple of its residual clauses (the live
@@ -32,8 +36,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import chain
+from heapq import heapify, heappop, heappush
+from itertools import chain, count
 
 from .errors import CircuitError
 from .formula import CNF, _var_range_problem
@@ -215,15 +219,17 @@ def compile_cnf(cnf: CNF) -> Circuit:
     """Compile a CNF into a deterministic decomposable circuit.
 
     The output is deterministic for a given input: branch variables are
-    chosen by most occurrences in the shortest residual clauses with ties
-    going to the lowest id, units are propagated lowest clause first, and
-    components are compiled in the order of their first clause.
+    chosen by most occurrences in the shortest residual clauses, with ties
+    going to the first variable in :func:`_elimination_rank` of the whole
+    CNF and then to the lowest id; units are propagated lowest clause first,
+    and components are compiled in the order of their first clause.
     Unsatisfiable input yields the single FALSE node.
 
     The search is one loop over an explicit stack of components, so its
     depth is not bounded by the interpreter's recursion limit.
     """
     builder = _Builder(cnf.num_vars)
+    rank = _elimination_rank(cnf.clauses)
     top = None if cnf.unsat else _condition(cnf.clauses, _occurrences(cnf.clauses), ())
     cache: dict[tuple, int] = {}
 
@@ -243,7 +249,7 @@ def compile_cnf(cnf: CNF) -> Circuit:
             if comp in cache:
                 stack.pop()
                 continue
-            v = _pick_var(comp)
+            v = _pick_var(comp, rank)
             occ = _occurrences(comp)
             entry[1] = split = (v, _condition(comp, occ, (v,)), _condition(comp, occ, (-v,)))
             for branch in (split[2], split[1]):
@@ -326,10 +332,68 @@ def _condition(comp, occ, lits):
     return forced, comps
 
 
-def _pick_var(comp) -> int:
+def _pick_var(comp, rank: dict[int, int]) -> int:
     best_len = min(map(len, comp))
     counts = Counter(map(abs, chain.from_iterable(c for c in comp if len(c) == best_len)))
-    return min(counts, key=lambda v: (-counts[v], v))
+    return min(counts, key=lambda v: (-counts[v], rank[v], v))
+
+
+def _elimination_rank(clauses) -> dict[int, int]:
+    """Rank the variables of ``clauses`` by a min-degree elimination order.
+
+    The primal graph links two variables that share a clause. Variables are
+    eliminated by least current degree, ties going to the lowest id, and an
+    eliminated variable's neighbours become a clique. The variable eliminated
+    last gets rank 0: it separates what is left, so deciding it first tends
+    to split the clauses into components.
+
+    The graph is held as cliques, first the clauses and then one per
+    eliminated variable that joins the cliques it was in, so a clause of
+    width k takes memory k, not k squared. A variable in only one clique
+    has a clique for a neighbourhood and leaves it without joining anything.
+    """
+    members: dict[int, set[int]] = {}  # clique id -> its live variables
+    cliques: dict[int, set[int]] = {}  # variable -> ids of its cliques
+    for e, clause in enumerate(clauses):
+        members[e] = {abs(l) for l in clause}
+        for v in members[e]:
+            cliques.setdefault(v, set()).add(e)
+
+    def degree(v: int) -> int:
+        return len({v}.union(*map(members.__getitem__, cliques[v]))) - 1
+
+    deg = {v: degree(v) for v in cliques}
+    heap = [(d, v) for v, d in deg.items()]
+    heapify(heap)  # stale entries, whose degree has changed, are skipped
+    new_ids = count(len(members))
+    order: list[int] = []
+    while heap:
+        d, v = heappop(heap)
+        if deg.get(v) != d:
+            continue
+        del deg[v]
+        order.append(v)
+        own = cliques.pop(v)
+        if len(own) == 1:
+            touched = members[own.pop()]
+            touched.discard(v)
+            for u in touched:
+                deg[u] -= 1
+        else:
+            touched = set().union(*(members.pop(e) for e in own))
+            touched.discard(v)
+            e = next(new_ids)
+            members[e] = touched
+            for u in touched:
+                cliques[u] -= own
+                cliques[u].add(e)
+                deg[u] = degree(u)
+        for u in touched:
+            heappush(heap, (deg[u], u))
+        if len(heap) > 2 * len(deg):  # mostly stale, as a wide clique leaves it
+            heap = [(d, u) for u, d in deg.items()]
+            heapify(heap)
+    return {v: r for r, v in enumerate(reversed(order))}
 
 
 # ---------------------------------------------------------------------------

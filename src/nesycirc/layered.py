@@ -293,6 +293,13 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
     dWMC/dp, the log structure d log WMC / dp. Rows with zero weighted count
     have no finite log-gradient and come back non-finite.
     """
+    return _value_and_grad(lc, batch, structure)[1]
+
+
+def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
+                    structure) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`evaluate`'s values and :func:`backward`'s gradient, from one
+    forward pass."""
     s = get_structure(structure)
     if not s.differentiable:
         raise StructureError(f"structure {s.name!r} is not differentiable")
@@ -312,7 +319,8 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
             g = buf[layer.child_index]
             a = sr.times(a, sr.siblings(g, layer.child_offsets, layer.seg_lengths))
         sr.scatter_add(adj, layer.child_index, a)
-    return _leaf_grad(lc, sr.finish(adj[:lc.n_leaves], buf[lc.root_slot]), B)
+    grad = _leaf_grad(lc, sr.finish(adj[:lc.n_leaves], buf[lc.root_slot]), B)
+    return buf[lc.root_slot].copy(), grad
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from .compose import AnnotatedModule
 from .errors import CompositionError
 from .factory import CircuitBackend
 from .formula import CNF
-from .layered import LeafBatch, backward, evaluate, evaluate_recursive, layerize
+from .layered import (LeafBatch, _value_and_grad, evaluate, evaluate_recursive,
+                      layerize)
 from .semantics import get_structure
 
 __all__ = [
@@ -97,10 +98,10 @@ def semantic_loss_and_grad(m: AnnotatedModule, prob_rows) -> tuple[float, np.nda
     """
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)
-    per_row = -evaluate(back.layered, batch, "log_probability")
+    value, grad = _value_and_grad(back.layered, batch, "log_probability")
+    per_row = -value
     _warn_infinite(per_row)
-    grads = -backward(back.layered, batch, "log_probability")
-    return float(np.mean(per_row)), grads
+    return float(np.mean(per_row)), -grad
 
 
 def descend_semantic_loss(m: AnnotatedModule, start, steps: int = 100,

@@ -9,7 +9,7 @@ import pytest
 
 from nesycirc.cli import main
 from nesycirc.compiler import compile_cnf, save_circuit
-from nesycirc.formula import parse_dimacs, serialize_dimacs
+from nesycirc.formula import MAX_VARS, parse_dimacs, serialize_dimacs
 from nesycirc.tasks import build_addition
 
 from test_formula import EX1
@@ -106,6 +106,16 @@ def test_compile_bad_dimacs(tmp_path, capsys):
                  str(tmp_path / "c.nnfc")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[format]: ") and "bad.cnf" in err
+
+
+def test_compile_refuses_absurd_variable_count(tmp_path, capsys):
+    """Smoothing would pad every declared variable; the problem line fails
+    at once instead."""
+    bad = tmp_path / "big.cnf"
+    bad.write_text("p cnf 20000000 1\n1 0\n")
+    assert main(["compile", "--dimacs", str(bad), "--out", str(tmp_path / "c.nnfc")]) == 2
+    assert capsys.readouterr().err == (f"error[format]: {bad}: line 1: 20000000 "
+                                       f"variables exceed the limit of {MAX_VARS}\n")
 
 
 def test_compile_formula_needs_names(tmp_path, capsys):
@@ -306,6 +316,14 @@ def test_check_rejects_aux_outside_variable_range(tmp_path, capsys):
     assert main(["check", "--circuit", str(bad)]) == 2
     assert capsys.readouterr().err == (f"error[format]: {bad}: auxiliary variables "
                                        "must occupy the top of the id range\n")
+
+
+def test_check_refuses_absurd_variable_count(tmp_path, capsys):
+    bad = tmp_path / "big.nnfc"
+    bad.write_text("nnfc 1\nnvars 20000000\naux\nnnodes 1\nroot 0\nnode 0 LIT 1\n")
+    assert main(["check", "--circuit", str(bad)]) == 2
+    assert capsys.readouterr().err == (f"error[format]: {bad}: 20000000 variables "
+                                       f"exceed the limit of {MAX_VARS}\n")
 
 
 def test_deep_and_chain_circuit(tmp_path, capsys):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nesycirc.compiler import (Circuit, CircuitNode, check_properties,
-                               circuit_from_text, circuit_to_text, compile_cnf,
-                               load_circuit, model_count, save_circuit, smooth)
+from nesycirc.compiler import (Circuit, CircuitNode, _elimination_rank,
+                               check_properties, circuit_from_text,
+                               circuit_to_text, compile_cnf, load_circuit,
+                               model_count, save_circuit, smooth)
 from nesycirc.errors import CircuitError
 from nesycirc.formula import CNF, brute_force_models, parse_dimacs
 from nesycirc.layered import LeafBatch, evaluate, layerize
+from nesycirc.tasks import build_addition
 
 from test_formula import EX1, cnfs
 
@@ -72,6 +74,37 @@ def test_compile_long_implication_chain(shallow_recursion):
     assert model_count(c) == n + 1
     value = evaluate(lc, LeafBatch.from_probabilities(np.full((1, n), 0.5)), "probability")
     assert float(value[0]) == pytest.approx((n + 1) / 2 ** n, rel=1e-12)
+
+
+def _edges(c):
+    return sum(len(node.children) for node in c.nodes)
+
+
+@pytest.mark.parametrize("n_digits, query_sum, max_edges", [(3, 999, 600), (4, 9999, 1000)])
+def test_addition_circuit_stays_small(n_digits, query_sum, max_edges):
+    """Branching guided by the elimination rank decomposes the carry chain;
+    lowest-id tie-breaking gave 4431 and 24293 edges."""
+    c = smooth(compile_cnf(build_addition(n_digits, query_sum).cnf))
+    assert _edges(c) <= max_edges
+    top = 2 * (10 ** n_digits - 1)
+    assert model_count(c) == min(query_sum, top - query_sum) + 1
+
+
+def test_implication_chain_circuit_does_not_grow():
+    c = smooth(compile_cnf(CNF(400, tuple((-i, i + 1) for i in range(1, 400)))))
+    assert _edges(c) <= 41599
+    assert model_count(c) == 401
+
+
+def test_elimination_rank_decides_separators_first():
+    # star: the leaves go first, lowest id first, and the hub ranks first
+    assert _elimination_rank([(1, -5), (2, 5), (-3, 5), (4, 5)]) == {5: 0, 4: 1, 3: 2, 2: 3, 1: 4}
+    # path 1-2-3-4-5: both ends have degree 1 and the lower id goes first,
+    # so elimination runs from 1 and the far end ranks first
+    assert _elimination_rank([(1, 2), (-2, 3), (3, -4), (4, 5)]) == {5: 0, 4: 1, 3: 2, 2: 3, 1: 4}
+    # a clause is a clique; a variable alone in its clauses has degree 0,
+    # so it goes first and ranks last
+    assert _elimination_rank([(1, 2, 3), (4,)]) == {3: 0, 2: 1, 1: 2, 4: 3}
 
 
 def test_smooth_is_idempotent(ex1):

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from nesycirc.compiler import compile_cnf, smooth
 from nesycirc.errors import DimacsError, FormulaError
-from nesycirc.formula import (CNF, FALSE, MAX_PAREN_DEPTH, TRUE, And, Iff,
-                              Implies, Not, Or, Var, brute_force_models,
+from nesycirc.formula import (CNF, FALSE, MAX_PAREN_DEPTH, MAX_VARS, TRUE, And,
+                              Iff, Implies, Not, Or, Var, brute_force_models,
                               brute_force_wmc, cnf_to_formula, eval_assignment,
                               formula_names, formula_vars, is_nnf,
                               make_name_table, parse_dimacs, parse_formula,
@@ -110,6 +110,9 @@ def test_cnf_rejects_empty_clause_and_bad_literals():
         CNF(3, ((1,),), aux_vars={2})
     with pytest.raises(ValueError, match="top of the id range"):
         CNF(2, ((1,),), aux_vars={0, 1, 2})  # 0 is not a variable
+    assert CNF(MAX_VARS, ()).num_vars == MAX_VARS
+    with pytest.raises(ValueError, match=f"exceed the limit of {MAX_VARS}"):
+        CNF(MAX_VARS + 1, ())
 
 
 # ---------------------------------------------------------------------------
