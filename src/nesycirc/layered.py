@@ -63,6 +63,9 @@ class LayeredCircuit:
     leaf_var: np.ndarray  # variable id, 0 for constants
     leaf_sign: np.ndarray  # +1 / -1 / 0
     leaf_const: np.ndarray  # constant value where leaf_var == 0
+    # per sign, +1 then -1: the leaf slots of input variables grouped by
+    # variable, the start of each group, and its variable's 0-based column
+    input_leaves: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @property
     def n_inputs(self) -> int:
@@ -133,12 +136,20 @@ def layerize(c: Circuit) -> LayeredCircuit:
         lens = np.diff(np.append(off, len(idx)))
         layers.append(Layer(kind, len(ids), base, idx, off, lens))
 
+    var = np.asarray(leaf_var, np.int64)
+    sign = np.asarray(leaf_sign, np.int64)
+    input_leaves = []
+    for s in (1, -1):
+        slots = np.nonzero((sign == s) & (var <= c.num_vars - len(c.aux_vars)))[0]
+        slots = slots[np.argsort(var[slots], kind="stable")]
+        starts = np.nonzero(np.diff(var[slots], prepend=0))[0]
+        input_leaves.append((slots, starts, var[slots[starts]] - 1))
     return LayeredCircuit(
         num_vars=c.num_vars, aux_vars=c.aux_vars, n_slots=n,
         root_slot=node_slot[c.root], layers=tuple(layers),
-        leaf_var=np.asarray(leaf_var, np.int64),
-        leaf_sign=np.asarray(leaf_sign, np.int64),
+        leaf_var=var, leaf_sign=sign,
         leaf_const=np.asarray(leaf_const, np.float64),
+        input_leaves=tuple(input_leaves),
     )
 
 
@@ -275,14 +286,13 @@ def evaluate(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
 
 def _leaf_grad(lc: LayeredCircuit, leaf_adj: np.ndarray, batch_size: int) -> np.ndarray:
     """Fold leaf adjoints into d/dp per input variable: positive minus negative."""
-    n_inputs = lc.n_inputs
-    grad = np.zeros((batch_size, n_inputs))
-    for slot in range(lc.n_leaves):
-        v = int(lc.leaf_var[slot])
-        if v == 0 or v > n_inputs:
-            continue
-        grad[:, v - 1] += int(lc.leaf_sign[slot]) * leaf_adj[slot]
-    return grad
+    grad = np.zeros((lc.n_inputs, batch_size))
+    (pos, pos_starts, pos_cols), (neg, neg_starts, neg_cols) = lc.input_leaves
+    if pos.size:
+        grad[pos_cols] += np.add.reduceat(leaf_adj[pos], pos_starts, axis=0)
+    if neg.size:
+        grad[neg_cols] -= np.add.reduceat(leaf_adj[neg], neg_starts, axis=0)
+    return grad.T
 
 
 def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nesycirc.compiler import compile_cnf, smooth
+from nesycirc.compiler import circuit_from_text, compile_cnf, smooth
 from nesycirc.errors import CarrierError, CircuitError, StructureError
 from nesycirc.formula import CNF, brute_force_wmc, eval_assignment, parse_dimacs
 from nesycirc.layered import (LeafBatch, backward, evaluate,
@@ -188,6 +188,37 @@ def test_backward_matches_central_differences(cnf, seed):
         g = backward(lc, batch, structure)[0]
         fd = _central_diff(lc, row, structure)
         assert np.allclose(g, fd, atol=1e-7, rtol=1e-6)
+
+
+# x1 & x2 | ~x1 & (x2 | ~x2), with a second LIT 2 node in the false branch:
+# WMC = p1 p2 + 1 - p1, so dWMC/dp = (p2 - 1, p1)
+DUPLICATE_LEAVES = """nnfc 1
+nvars 2
+aux
+nnodes 9
+root 8
+node 0 LIT 1
+node 1 LIT 2
+node 2 AND 0 1
+node 3 LIT -1
+node 4 LIT 2
+node 5 LIT -2
+node 6 OR 2 4 5
+node 7 AND 3 6
+node 8 OR 1 2 7
+"""
+
+
+@pytest.mark.parametrize("structure", ["probability", "log"])
+def test_backward_sums_duplicate_leaves(structure):
+    lc = layerize(circuit_from_text(DUPLICATE_LEAVES))
+    rows = np.array([[0.3, 0.6], [0.8, 0.1], [0.5, 0.5]])
+    g = backward(lc, LeafBatch.from_probabilities(rows), structure)
+    assert g.shape == rows.shape
+    for row, got in zip(rows, g):
+        assert np.allclose(got, _central_diff(lc, row, structure), atol=1e-7, rtol=1e-6)
+    if structure == "probability":
+        assert np.allclose(g, np.stack([rows[:, 1] - 1, rows[:, 0]], axis=1))
 
 
 def test_backward_at_corner_is_finite(ex1_layered):
