@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .compiler import (Circuit, check_properties, compile_cnf, load_circuit,
-                       save_circuit, smooth)
+from .compiler import Circuit, check_properties, compile_cnf, load_circuit, save_circuit
 from .compose import load_manifest
 from .errors import (CarrierError, CircuitError, CompositionError, DimacsError,
                      FormulaError, StructureError)
@@ -62,8 +61,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--names", metavar="A,B,...")
     p.add_argument("--weights", metavar="FILE", required=True)
     p.add_argument("--semantics", default="probability", metavar="TAG")
-    p.add_argument("--batch", action="store_true",
-                   help="accepted for compatibility; eval always runs one layered pass")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grad", help="per-variable gradients, one row per weight row")
@@ -94,8 +91,6 @@ def _build_parser() -> _Parser:
                    help="batch size or comma-separated sizes (default 1024)")
     p.add_argument("--reps", type=int, default=5, metavar="R")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit the slow four-digit configuration")
     p.set_defaults(func=_cmd_bench)
     return parser
 
@@ -182,7 +177,7 @@ def _cmd_compile(args) -> int:
     else:
         f, _ = _formula_from_args(args)
         cnf = to_cnf(to_nnf(f))
-    circuit = smooth(compile_cnf(cnf))
+    circuit = compile_cnf(cnf)
     lc = layerize(circuit)
     save_circuit(circuit, args.out, comments=layer_summary(lc).splitlines())
     print(f"nodes {len(circuit.nodes)} layers {len(lc.layers)}")
@@ -274,13 +269,9 @@ def _cmd_bench(args) -> int:
                           f"got {args.batch!r}") from None
     if not sizes:
         raise _UsageError("--batch needs at least one size")
-    if args.digits > 3 and not args.allow_large:
-        raise _UsageError("--digits above 3 is a deliberately heavy configuration; "
-                          "pass --allow-large to run it")
     try:
         report = bench(args.digits, sizes if len(sizes) > 1 else sizes[0],
-                       repetitions=args.reps, seed=args.seed,
-                       allow_large=args.allow_large)
+                       repetitions=args.reps, seed=args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     print(report.to_text())

@@ -1,4 +1,4 @@
-"""Compilation of CNF into deterministic decomposable circuits.
+"""Compilation of CNF into smooth deterministic decomposable circuits.
 
 The compiler runs an exhaustive DPLL search: unit propagation, splitting of
 the live clauses into variable-disjoint connected components (each becomes a
@@ -15,7 +15,10 @@ CNFs, whose level cuts are wider, keep their min-degree order.
 
 A decision produces ``OR(AND(v, sub_t), AND(~v, sub_f))`` with the decision
 variable recorded on the OR node, which makes the two branches mutually
-inconsistent by construction. A component is the tuple of its residual
+inconsistent by construction. The node builder keeps the circuit smooth as
+it goes: each OR's branches are padded to the variables of both with gadgets
+``OR(v, ~v)``, and the root to every declared variable, so no second pass
+rebuilds the circuit. A component is the tuple of its residual
 clauses (the live clauses with their false literals dropped), and it is its
 own cache key, so a residual subproblem compiles once however it is reached.
 The search is one loop over an explicit stack of components, with no
@@ -125,7 +128,8 @@ def _compute_masks(nodes: tuple[CircuitNode, ...]) -> tuple[int, ...]:
 
 
 class _Builder:
-    """Append-only node table with constant folding and node reuse."""
+    """Append-only node table with constant folding, node reuse, and
+    smoothing: every OR it builds and the root it finishes are padded."""
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
@@ -182,18 +186,38 @@ class _Builder:
         return self._add(key, CircuitNode("AND", children=tuple(out)), mask)
 
     def disj(self, a: int, b: int, decision_var: int) -> int:
+        """``OR(a, b)`` with each branch padded to the variables of both."""
         if self.nodes[a].kind == "FALSE":
             return b
         if self.nodes[b].kind == "FALSE":
             return a
+        both = self.masks[a] | self.masks[b]
+        a, b = self._pad(a, both), self._pad(b, both)
         key = ("O", a, b, decision_var)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         node = CircuitNode("OR", children=(a, b), decision_var=decision_var)
-        return self._add(key, node, self.masks[a] | self.masks[b])
+        return self._add(key, node, both)
+
+    def _pad(self, nid: int, mask: int) -> int:
+        """``nid`` conjoined with a gadget ``OR(v, ~v)`` for each variable of
+        ``mask`` that it does not mention, lowest variable first."""
+        missing = mask & ~self.masks[nid]
+        if not missing:
+            return nid
+        extras = [nid]
+        while missing:  # set bits only
+            low = missing & -missing
+            v = low.bit_length()
+            extras.append(self.disj(self.lit(v), self.lit(-v), v))
+            missing ^= low
+        return self.conj(extras)
 
     def finish(self, root: int, aux_vars: frozenset[int]) -> Circuit:
+        """The circuit of ``root`` padded to every declared variable, with
+        unreachable nodes dropped."""
+        root = self._pad(root, (1 << self.num_vars) - 1)
         nodes, masks, new_root = _compact(self.nodes, self.masks, root)
         return Circuit(self.num_vars, nodes, new_root, aux_vars, masks)
 
@@ -223,7 +247,8 @@ def _compact(nodes, masks, root):
 
 
 def compile_cnf(cnf: CNF) -> Circuit:
-    """Compile a CNF into a deterministic decomposable circuit.
+    """Compile a CNF into a smooth, deterministic, decomposable circuit
+    whose root mentions every declared variable.
 
     The output is deterministic for a given input: branch variables are
     chosen by most occurrences in the shortest residual clauses, with ties
@@ -534,36 +559,18 @@ def _min_degree_order(members: dict[int, set[int]],
 
 
 def smooth(c: Circuit) -> Circuit:
-    """Rebuild the circuit so every OR's children mention the same variables
-    and the root mentions every declared variable.
+    """Rebuild a decomposable, deterministic circuit so that it is smooth.
 
-    Missing variables are supplied by gadgets ``OR(v, ~v)``, multiplied onto
-    the deficient child (and onto the root for variables the whole circuit
-    never mentions). Smoothing an already smooth circuit reproduces it
+    The circuit is rebuilt node by node through the same builder as
+    :func:`compile_cnf`, which pads every OR's children to the same
+    variables and the root to every declared variable with gadgets
+    ``OR(v, ~v)``. :func:`compile_cnf` output is smooth already; this is for
+    circuits from elsewhere, and smoothing a smooth circuit reproduces it
     structurally.
     """
     check_properties(c).require("decomposable", "deterministic")
     builder = _Builder(c.num_vars)
-    gadgets: dict[int, int] = {}
-
-    def gadget(v: int) -> int:
-        hit = gadgets.get(v)
-        if hit is None:
-            hit = gadgets[v] = builder.disj(builder.lit(v), builder.lit(-v), v)
-        return hit
-
-    def pad(nid: int, missing_mask: int) -> int:
-        if not missing_mask:
-            return nid
-        extras = [nid]
-        while missing_mask:  # set bits only, lowest variable first
-            low = missing_mask & -missing_mask
-            extras.append(gadget(low.bit_length()))
-            missing_mask ^= low
-        return builder.conj(extras)
-
     new_id: list[int] = [0] * len(c.nodes)
-    new_mask: list[int] = [0] * len(c.nodes)
     for i, node in enumerate(c.nodes):
         if node.kind == "LIT":
             new_id[i] = builder.lit(node.literal)
@@ -575,14 +582,8 @@ def smooth(c: Circuit) -> Circuit:
             new_id[i] = builder.conj([new_id[ch] for ch in node.children])
         else:
             a, b = node.children
-            target = new_mask[a] | new_mask[b]
-            wa = pad(new_id[a], target & ~new_mask[a])
-            wb = pad(new_id[b], target & ~new_mask[b])
-            new_id[i] = builder.disj(wa, wb, node.decision_var)
-        new_mask[i] = builder.masks[new_id[i]]
-    full = (1 << c.num_vars) - 1
-    root = pad(new_id[c.root], full & ~new_mask[c.root])
-    return builder.finish(root, c.aux_vars)
+            new_id[i] = builder.disj(new_id[a], new_id[b], node.decision_var)
+    return builder.finish(new_id[c.root], c.aux_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +668,9 @@ def model_count(c: Circuit) -> int:
     """Exact model count over the declared variable set.
 
     Requires a smooth, deterministic, decomposable circuit whose root
-    mentions every declared variable (what :func:`smooth` produces). The
-    count is the layered forward pass over Python integers, so it is exact
-    at any size.
+    mentions every declared variable (what :func:`compile_cnf` and
+    :func:`smooth` produce). The count is the layered forward pass over
+    Python integers, so it is exact at any size.
     """
     from .layered import LeafBatch, _forward, layerize  # layered imports this module
     lc = layerize(c)
@@ -707,7 +708,8 @@ def circuit_to_text(c: Circuit, comments: list[str] | None = None) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse a circuit file, validating ids, kinds, and the structural
+    """Parse a circuit file, validating the header (``nvars``, ``aux``,
+    ``nnodes`` and ``root``, each once), ids, kinds, and the structural
     properties (decomposability and determinism)."""
     header: dict[str, str] = {}
     nodes: list[CircuitNode] = []
@@ -738,7 +740,8 @@ def circuit_from_text(text: str) -> Circuit:
             else:
                 nodes.append(CircuitNode(kind, children=tuple(ints)))
         else:
-            if len(parts) > 2 and parts[0] != "aux":
+            if (parts[0] not in ("nvars", "aux", "nnodes", "root") or parts[0] in header
+                    or len(parts) > 2 and parts[0] != "aux"):
                 raise CircuitError(f"malformed header line {ln!r}")
             header[parts[0]] = " ".join(parts[1:])
     for key in ("nvars", "nnodes", "root"):

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compiler import Circuit, compile_cnf, smooth
+from .compiler import Circuit, compile_cnf
 from .compose import AnnotatedModule, Manifest, SymTensor, _syms, fresh_symbol
 from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
@@ -248,7 +248,7 @@ class ModuleFactory:
     def build_formula_module(self, f, structure_tag, name: str = "phi") -> AnnotatedModule:
         """Compile a formula into a module under any registered structure.
 
-        Circuit-safe structures go through compile/smooth/layerize; fuzzy
+        Circuit-safe structures go through compile/layerize; fuzzy
         ones evaluate the NNF directly. Either way the module maps one value
         per formula variable (ids 1..max, symbols from leaf names or v<i>)
         to a single scalar, so swapping the structure tag never changes the
@@ -298,7 +298,7 @@ def _single_output(m: AnnotatedModule) -> SymTensor:
 
 
 def _circuit_compute(cnf: CNF, s: Structure):
-    sc = smooth(compile_cnf(cnf))
+    sc = compile_cnf(cnf)
     lc = layerize(sc)
     back = CircuitBackend(cnf, sc, lc, s.name)
 

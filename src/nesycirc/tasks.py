@@ -24,7 +24,7 @@ from statistics import mean, median
 
 import numpy as np
 
-from .compiler import compile_cnf, smooth
+from .compiler import compile_cnf
 from .compose import AnnotatedModule
 from .errors import CompositionError
 from .factory import CircuitBackend
@@ -319,8 +319,8 @@ class TimingReport:
         return "\n".join(lines)
 
 
-def bench(n_digits: int, batch_size=1024, repetitions: int = 5, seed: int = 42,
-          allow_large: bool = False) -> TimingReport:
+def bench(n_digits: int, batch_size=1024, repetitions: int = 5,
+          seed: int = 42) -> TimingReport:
     """Time recursive against layered evaluation on one representative query.
 
     The query is sum = 10^N - 1, the most combination-rich target at N
@@ -329,12 +329,8 @@ def bench(n_digits: int, batch_size=1024, repetitions: int = 5, seed: int = 42,
     clock, reported as median and mean per-query seconds. ``batch_size``
     may be an int or a sequence of ints; batch 1 is always measured. The
     report embeds a spot check of the circuit's weighted count against the
-    convolution oracle. Four-digit compiles are disproportionately slow
-    and must be requested with ``allow_large``.
+    convolution oracle.
     """
-    if n_digits > 3 and not allow_large:
-        raise ValueError("n_digits > 3 is a deliberately heavy configuration; "
-                         "pass allow_large=True to run it")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     requested = (batch_size,) if isinstance(batch_size, int) else tuple(batch_size)
@@ -344,7 +340,7 @@ def bench(n_digits: int, batch_size=1024, repetitions: int = 5, seed: int = 42,
 
     problem = build_addition(n_digits, 10 ** n_digits - 1)
     t0 = time.perf_counter()
-    circuit = smooth(compile_cnf(problem.cnf))
+    circuit = compile_cnf(problem.cnf)
     lc = layerize(circuit)
     compile_seconds = time.perf_counter() - t0
 

@@ -1,9 +1,13 @@
 """Compilation into decomposable, deterministic, smooth circuits."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nesycirc
 from nesycirc.compiler import (Circuit, CircuitNode, _elimination_rank,
                                check_properties, circuit_from_text,
                                circuit_to_text, compile_cnf, load_circuit,
@@ -16,9 +20,30 @@ from nesycirc.tasks import build_addition
 from test_formula import EX1, cnfs
 
 
+# EX1's constraint with its decision on variable 2 left unpadded: the OR's
+# children mention {2} and {1, 2, 3}, so the circuit is decomposable and
+# deterministic but not smooth (node 5)
+UNSMOOTH = """nnfc 1
+nvars 3
+aux
+nnodes 6
+root 5
+node 0 LIT 2
+node 1 LIT -2
+node 2 LIT -1
+node 3 LIT -3
+node 4 AND 1 2 3
+node 5 OR 2 0 4
+"""
+
+
 @pytest.fixture()
 def ex1():
     return parse_dimacs(EX1)
+
+
+def _edges(c):
+    return sum(len(node.children) for node in c.nodes)
 
 
 def test_compile_example(ex1):
@@ -49,6 +74,30 @@ def test_compile_counts_models(cnf):
     c = smooth(compile_cnf(cnf))
     assert check_properties(c).ok
     assert model_count(c) == len(brute_force_models(cnf))
+
+
+@given(cnfs())
+def test_compile_output_is_smooth(cnf):
+    c = compile_cnf(cnf)
+    assert check_properties(c).ok
+    full = (1 << cnf.num_vars) - 1
+    assert c.nodes[c.root].kind == "FALSE" or c.var_masks[c.root] == full
+    again = smooth(c)
+    assert (len(again.nodes), _edges(again)) == (len(c.nodes), _edges(c))
+
+
+def test_only_the_compiler_calls_smooth():
+    """compile_cnf builds smooth circuits, so no other module smooths."""
+    calls = []
+    for path in sorted(Path(nesycirc.__file__).parent.glob("*.py")):
+        if path.name == "compiler.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", None) == "smooth" or getattr(f, "attr", None) == "smooth":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_compile_is_deterministic(ex1):
@@ -239,6 +288,10 @@ def test_file_round_trip_ignores_comments(tmp_path, ex1):
      "node 2 AND 0 z", "malformed node record"),
     ("nnfc 1\nnvars 2\naux 7\nnnodes 1\nroot 0\nnode 0 TRUE", "top of the id range"),
     ("nnfc 1\nnvars -1\naux\nnnodes 1\nroot 0\nnode 0 TRUE", "nonnegative"),
+    ("nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnvars 5\nnode 0 TRUE",
+     "malformed header line 'nvars 5'"),
+    ("nnfc 1\nnvars 1\naux\nfoo bar\nnnodes 1\nroot 0\nnode 0 TRUE",
+     "malformed header line 'foo bar'"),
 ])
 def test_bad_circuit_text_is_rejected(text, match):
     with pytest.raises(CircuitError, match=match):

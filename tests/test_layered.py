@@ -10,6 +10,7 @@ from nesycirc.formula import CNF, brute_force_wmc, eval_assignment, parse_dimacs
 from nesycirc.layered import (LeafBatch, backward, evaluate,
                               evaluate_recursive, layer_summary, layerize)
 
+from test_compiler import UNSMOOTH
 from test_formula import EX1, cnfs
 
 
@@ -39,7 +40,7 @@ def test_layer_order_and_kinds(ex1_layered):
 
 
 def test_layerize_requires_smoothness():
-    c = compile_cnf(parse_dimacs(EX1))  # not smoothed
+    c = circuit_from_text(UNSMOOTH)
     with pytest.raises(CircuitError, match="smooth"):
         layerize(c)
 
