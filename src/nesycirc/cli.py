@@ -10,6 +10,7 @@ machine-parsable prefix: ``error[usage]:`` (exit 1), ``error[format]:``
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -42,7 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Parsing keeps no state on the parser: each call fills a fresh
+    namespace from the defaults declared here.
+    """
     parser = _Parser(prog="nesycirc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"nesycirc {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")

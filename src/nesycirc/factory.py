@@ -102,6 +102,12 @@ class ModuleFactory:
     ``aggregators`` maps names to Aggregator objects or bare callables
     reducing over the last axis. ``predicates`` is an iterable of Predicate
     definitions, whose structure tags resolve like any other.
+
+    Circuit-backed modules compile each CNF once per factory: the factory
+    keeps a cache from CNF to its circuit and layered circuit, so the
+    ``probability`` and ``log_probability`` modules of one formula share
+    them. The cache lives as long as the factory and holds every CNF it
+    compiled.
     """
 
     def __init__(self, structures=None, aggregators=None, predicates=()):
@@ -134,6 +140,7 @@ class ModuleFactory:
             preds[pred.functor] = pred
         self._aggregators = aggs
         self._predicates = preds
+        self._compiled: dict[CNF, tuple[Circuit, LayeredCircuit]] = {}
 
     @property
     def structures(self) -> dict[str, Structure]:
@@ -262,8 +269,7 @@ class ModuleFactory:
         in_spec = SymTensor(symbols, structure=s, shape=(n,))
         out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
-            cnf = to_cnf(nnf, num_vars=n)
-            compute, back = _circuit_compute(cnf, s)
+            compute, back = self._circuit_compute(to_cnf(nnf, num_vars=n), s)
         else:
             compute, back = _fuzzy_compute(nnf, s, n), None
         return AnnotatedModule(name, (in_spec,), (out_spec,), compute, backend=back)
@@ -282,7 +288,7 @@ class ModuleFactory:
         in_spec = SymTensor(symbols, structure=s, shape=(cnf.n_inputs,))
         out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
-            compute, back = _circuit_compute(cnf, s)
+            compute, back = self._circuit_compute(cnf, s)
         else:
             if cnf.aux_vars:
                 raise StructureError("fuzzy structures evaluate the original formula; "
@@ -290,29 +296,31 @@ class ModuleFactory:
             compute, back = _fuzzy_compute(cnf_to_formula(cnf), s, cnf.num_vars), None
         return AnnotatedModule(name, (in_spec,), (out_spec,), compute, backend=back)
 
+    def _circuit_compute(self, cnf: CNF, s: Structure):
+        compiled = self._compiled.get(cnf)
+        if compiled is None:
+            circuit = compile_cnf(cnf)
+            compiled = self._compiled[cnf] = circuit, layerize(circuit)
+        circuit, lc = compiled
+        back = CircuitBackend(cnf, circuit, lc, s.name)
+
+        def compute(values):
+            arr = np.asarray(values, dtype=np.float64)
+            unbatched = arr.ndim == 1
+            rows = arr[None, :] if unbatched else arr
+            rows = s.semiring.unleaf(rows)
+            batch = LeafBatch.from_probabilities(rows, num_vars=cnf.num_vars,
+                                                 aux_vars=cnf.aux_vars)
+            out = evaluate(lc, batch, s)
+            return out[0] if unbatched else out
+
+        return compute, back
+
 
 def _single_output(m: AnnotatedModule) -> SymTensor:
     if len(m.output_spec) != 1:
         raise CompositionError(f"{m.name} must have exactly one output tensor")
     return m.output_spec[0]
-
-
-def _circuit_compute(cnf: CNF, s: Structure):
-    sc = compile_cnf(cnf)
-    lc = layerize(sc)
-    back = CircuitBackend(cnf, sc, lc, s.name)
-
-    def compute(values):
-        arr = np.asarray(values, dtype=np.float64)
-        unbatched = arr.ndim == 1
-        rows = arr[None, :] if unbatched else arr
-        rows = s.semiring.unleaf(rows)
-        batch = LeafBatch.from_probabilities(rows, num_vars=cnf.num_vars,
-                                             aux_vars=cnf.aux_vars)
-        out = evaluate(lc, batch, s)
-        return out[0] if unbatched else out
-
-    return compute, back
 
 
 def _fuzzy_compute(nnf, s: Structure, n: int):

@@ -7,8 +7,8 @@ violation reports, and every value check in the package asks it rather
 than comparing structure names. Boolean, probability, and log-probability
 structures are circuit safe: evaluating a compiled circuit under them
 agrees with the formula semantics. Each carries a :class:`Semiring`, the
-handful of kernels the layered circuit pass in :mod:`nesycirc.layered`
-runs, so one forward and one reverse loop serve all three (algebraic model
+two ufuncs the layered circuit pass in :mod:`nesycirc.layered` reduces
+with, so one forward and one reverse loop serve all three (algebraic model
 counting); exact model counting runs the same forward loop on Python
 integers. Boolean and probability share the linear semiring; the boolean
 structure adds a rule for its leaf weights. The fuzzy families are not
@@ -61,41 +61,6 @@ class FuzzyConnectives:
         return self.disj(self.neg(x), y)
 
 
-def _segmented_logsumexp(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    mx = np.maximum.reduceat(g, off, axis=0)
-    finite = ~np.isneginf(mx)
-    shift = np.where(finite, mx, 0.0)
-    total = np.add.reduceat(np.exp(g - np.repeat(shift, lens, axis=0)), off, axis=0)
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(total)
-    return np.where(finite, out, -np.inf)
-
-
-def _sibling_products(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """For each child value, the product of its siblings within the segment.
-
-    Zeros are handled by counting: with no zero sibling the product is
-    total/child; with exactly one, only the zero child sees the nonzero
-    product; with two or more, everything is zero.
-    """
-    zero = g == 0.0
-    g1 = np.where(zero, 1.0, g)
-    prod_nz = np.repeat(np.multiply.reduceat(g1, off, axis=0), lens, axis=0)
-    n_zero = np.repeat(np.add.reduceat(zero.astype(np.float64), off, axis=0), lens, axis=0)
-    return np.where(n_zero == 0.0, prod_nz / g1,
-                    np.where((n_zero == 1.0) & zero, prod_nz, 0.0))
-
-
-def _sibling_logsums(g: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Log-space analogue of :func:`_sibling_products` (-inf plays zero)."""
-    ninf = np.isneginf(g)
-    g0 = np.where(ninf, 0.0, g)
-    sum_f = np.repeat(np.add.reduceat(g0, off, axis=0), lens, axis=0)
-    n_inf = np.repeat(np.add.reduceat(ninf.astype(np.float64), off, axis=0), lens, axis=0)
-    return np.where(n_inf == 0.0, sum_f - g0,
-                    np.where((n_inf == 1.0) & ninf, sum_f, -np.inf))
-
-
 def _log(w):
     with np.errstate(divide="ignore"):
         return np.log(w)
@@ -110,52 +75,42 @@ def _normalized_exp(ladj, log_z):
 
 @dataclass(frozen=True)
 class Semiring:
-    """The kernels one layered circuit pass needs, forward and reverse.
+    """The two operations one layered circuit pass needs, forward and reverse.
 
-    ``leaf`` maps literal weights into the carrier and ``unleaf`` maps
-    carrier values back to linear weights, which is how values under the
-    structure become leaf weights. Segmented reductions take
-    ``(g, off, lens)``: child values gathered along axis 0, the start of
-    each node's segment, and its length. ``dtype`` is the element type of
-    the pass's buffers. Adjoints start at ``zero``, the root's at ``one``.
-    ``siblings`` gives each child the product of the other children in its
-    segment; ``times`` combines that with the parent adjoint and
-    ``scatter_add(adj, index, values)`` accumulates into the child rows.
-    ``finish(leaf_adj, root_value)`` turns leaf adjoints into derivatives of
-    the circuit value with respect to the literal weights.
+    ``mul`` and ``add`` are numpy ufuncs: product layers reduce their
+    children with ``mul`` and sum layers with ``add``; the reverse pass
+    pulls each adjoint as the ``add`` of its in-edges and forms a product
+    edge's share with ``mul.accumulate`` scans. ``zero`` and ``one`` are
+    their identities, which also pad merged layers. ``leaf`` maps literal
+    weights into the carrier and ``unleaf`` maps carrier values back to
+    linear weights, which is how values under the structure become leaf
+    weights. ``dtype`` is the element type of the pass's buffers.
+    ``finish(leaf_adj, root_value)`` turns leaf adjoints into derivatives
+    of the circuit value with respect to the literal weights.
     """
 
     zero: float
     one: float
     leaf: Callable
     unleaf: Callable
-    segment_prod: Callable
-    segment_sum: Callable
-    siblings: Callable
-    times: Callable
-    scatter_add: Callable
+    mul: np.ufunc
+    add: np.ufunc
     finish: Callable
     dtype: type = np.float64
 
 
 _LINEAR = Semiring(
     zero=0.0, one=1.0, leaf=lambda w: w, unleaf=lambda v: v,
-    segment_prod=lambda g, off, lens: np.multiply.reduceat(g, off, axis=0),
-    segment_sum=lambda g, off, lens: np.add.reduceat(g, off, axis=0),
-    siblings=_sibling_products, times=np.multiply, scatter_add=np.add.at,
-    finish=lambda adj, root: adj,
+    mul=np.multiply, add=np.add, finish=lambda adj, root: adj,
 )
 
 _LOG = Semiring(
     zero=-np.inf, one=0.0, leaf=_log, unleaf=np.exp,
-    segment_prod=lambda g, off, lens: np.add.reduceat(g, off, axis=0),
-    segment_sum=_segmented_logsumexp,
-    siblings=_sibling_logsums, times=np.add, scatter_add=np.logaddexp.at,
-    finish=_normalized_exp,
+    mul=np.add, add=np.logaddexp, finish=_normalized_exp,
 )
 
-# Exact model counting: the linear forward kernels on Python integers held
-# in object buffers, so counts never round. Its reverse kernels go unused.
+# Exact model counting: the linear forward pass on Python integers held in
+# object buffers, so counts never round. The reverse pass never runs on it.
 _COUNT = replace(_LINEAR, leaf=lambda w: w.astype(np.int64), dtype=object)
 
 

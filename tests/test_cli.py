@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from nesycirc import cli
 from nesycirc.cli import main
 from nesycirc.formula import MAX_VARS, serialize_dimacs
 from nesycirc.tasks import build_addition
@@ -203,6 +204,28 @@ def test_eval_unknown_semantics(circuit_file, weights_file, capsys):
     assert main(["eval", "--circuit", circuit_file, "--weights", weights_file,
                  "--semantics", "zadeh"]) == 3
     assert "unknown structure tag" in capsys.readouterr().err
+
+
+def test_consecutive_calls_parse_like_fresh_ones(circuit_file, weights_file, tmp_path, capsys):
+    """One parser serves every call; no call sees another's options."""
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["eval", "--circuit", circuit_file, "--weights", weights_file,
+                 "--semantics", "log"]) == 0
+    assert _lines(capsys) == [f"{np.log(v):.12g}" for v in (0.625, 0.272)]
+    assert main(["eval", "--circuit", circuit_file, "--weights", weights_file]) == 0
+    assert _lines(capsys) == ["0.625", "0.272"]  # the default semantics again
+    assert main(["eval", "--weights", weights_file]) == 1  # --circuit is not carried over
+    assert "pass --circuit" in capsys.readouterr().err
+    assert main(["grad", "--circuit", circuit_file, "--weights", "/no/such/file.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error[format]: cannot read")
+    assert main(["eval", "--circuit", circuit_file, "--weights", weights_file,
+                 "--semantics", "zadeh"]) == 3
+    assert "unknown structure tag" in capsys.readouterr().err
+    assert main(["grad", "--circuit", circuit_file, "--weights", weights_file]) == 0
+    assert _lines(capsys) == ["-0.25 0.75 -0.25", "-0.72 0.91 -0.08"]
+    assert main(["compile", "--formula", FORMULA, "--names", "A,B,C",
+                 "--out", str(tmp_path / "f.nnfc")]) == 0
+    assert _lines(capsys)[0].startswith("nodes ")
 
 
 # ---------------------------------------------------------------------------

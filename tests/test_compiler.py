@@ -231,6 +231,11 @@ def test_model_count_is_exact_past_float_precision():
     assert model_count(smooth(compile_cnf(CNF(121, ((1,),))))) == 2 ** 120
     pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(40))
     assert model_count(smooth(compile_cnf(CNF(80, pairs)))) == 3 ** 40  # > 2**53
+    # a layer of mixed fan-in is padded with an identity slot at batch size
+    # one; a float pad would turn the count into a rounded float
+    mixed = smooth(compile_cnf(CNF(83, pairs + ((81, 82, 83),))))
+    assert any(len(set(layer.seg_lengths.tolist())) > 1 for layer in layerize(mixed).layers)
+    assert model_count(mixed) == 7 * 3 ** 40
 
 
 def test_model_count_requires_properties():

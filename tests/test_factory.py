@@ -242,6 +242,21 @@ def test_formula_module_fills_symbol_gaps(pf):
     assert float(m(np.array([0.5, 0.123, 0.5]))) == pytest.approx(0.25)
 
 
+def test_circuit_modules_of_one_formula_share_one_compilation():
+    f = _parse("(A -> B) & (C | A)")
+    factory = ModuleFactory()
+    prob = factory.build_formula_module(f, "probability")
+    log = factory.build_formula_module(f, "log_probability")
+    assert log.backend.layered is prob.backend.layered
+    assert log.backend.circuit is prob.backend.circuit
+    rows = np.array([[0.5, 0.5, 0.5], [0.9, 0.2, 0.1], [1.0, 0.3, 1.0]])
+    alone_prob = ModuleFactory().build_formula_module(f, "probability")
+    alone_log = ModuleFactory().build_formula_module(f, "log_probability")
+    assert alone_log.backend.layered is not alone_prob.backend.layered
+    assert np.array_equal(prob(rows), alone_prob(rows))
+    assert np.array_equal(log(np.log(rows)), alone_log(np.log(rows)))
+
+
 def test_dimacs_module(pf):
     text = "p cnf 3 2\n-1 2 0\n2 -3 0\n"
     m = pf.module_from_dimacs(text)

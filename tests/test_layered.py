@@ -1,5 +1,7 @@
 """Layered batched evaluation and its gradients against reference paths."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from nesycirc.compiler import circuit_from_text, compile_cnf, smooth
 from nesycirc.errors import CarrierError, CircuitError, StructureError
 from nesycirc.formula import CNF, brute_force_wmc, eval_assignment, parse_dimacs
-from nesycirc.layered import (LeafBatch, backward, evaluate,
+from nesycirc.layered import (BUCKETED_FROM, LeafBatch, backward, evaluate,
                               evaluate_recursive, layer_summary, layerize)
 
 from test_compiler import UNSMOOTH
@@ -82,6 +84,26 @@ def test_layered_equals_recursive(cnf, seed):
         mask = np.isfinite(a) | np.isfinite(b)
         assert np.allclose(a[mask], b[mask], atol=1e-12, rtol=0.0)
         assert np.array_equal(np.isneginf(a), np.isneginf(b))
+
+
+# one batch on the merged layout, one on the per-bucket layout
+LAYOUT_BATCHES = pytest.mark.parametrize(
+    "b", [BUCKETED_FROM - 1, 2 * BUCKETED_FROM], ids=["merged", "bucketed"])
+
+
+@LAYOUT_BATCHES
+@given(cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_layered_equals_recursive_on_both_layouts(b, cnf, seed):
+    c = smooth(compile_cnf(cnf))
+    lc = layerize(c)
+    rng = np.random.default_rng(seed)
+    batch = LeafBatch.from_probabilities(_rows(rng, cnf.num_vars, b=b))
+    for s in ("probability", "log"):
+        a = evaluate(lc, batch, s)
+        r = evaluate_recursive(c, batch, s)
+        mask = np.isfinite(a) | np.isfinite(r)
+        assert np.allclose(a[mask], r[mask], atol=1e-12, rtol=0.0)
+        assert np.array_equal(np.isneginf(a), np.isneginf(r))
 
 
 @given(cnfs(max_vars=5), st.integers(0, 2 ** 32 - 1))
@@ -227,6 +249,63 @@ def test_backward_at_corner_is_finite(ex1_layered):
     batch = LeafBatch.from_probabilities([[1.0, 0.0, 1.0]])  # zero-mass corner
     g = backward(lc, batch, "probability")
     assert np.all(np.isfinite(g))
+
+
+def _corner_rows(rng, b, n):
+    """Rows with about 30% of the entries 0 and 30% of them 1."""
+    u = rng.random((b, n))
+    return np.where(u < 0.3, 0.0, np.where(u < 0.6, 1.0, rng.random((b, n))))
+
+
+def _models(cnf):
+    return np.array([bits for bits in product((0.0, 1.0), repeat=cnf.num_vars)
+                     if eval_assignment(cnf, [bool(x) for x in bits])]).reshape(-1, cnf.num_vars)
+
+
+def _wmc(models, rows):
+    return np.where(models[None], rows[:, None], 1.0 - rows[:, None]).prod(-1).sum(-1)
+
+
+@LAYOUT_BATCHES
+@given(cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_gradients_match_exact_oracle_at_corners(b, cnf, seed):
+    """WMC is affine in each p_j, so dWMC/dp_j = WMC(p_j=1) - WMC(p_j=0)
+    holds exactly, at corners too; the log gradient is that over WMC."""
+    lc = layerize(smooth(compile_cnf(cnf)))
+    rows = _corner_rows(np.random.default_rng(seed), b, cnf.num_vars)
+    batch = LeafBatch.from_probabilities(rows)
+    models = _models(cnf)
+    wmc = _wmc(models, rows)
+    grad, log_grad = backward(lc, batch), backward(lc, batch, "log")
+    live = wmc > 0.0
+    for j in range(cnf.num_vars):
+        hi, lo = rows.copy(), rows.copy()
+        hi[:, j], lo[:, j] = 1.0, 0.0
+        want = _wmc(models, hi) - _wmc(models, lo)
+        assert np.allclose(grad[:, j], want, rtol=0.0, atol=1e-13)
+        assert np.allclose(log_grad[live, j], want[live] / wmc[live], rtol=1e-10, atol=1e-13)
+    assert np.all(np.isfinite(grad))
+    # a zero count has no finite log-gradient in any column; an
+    # unsatisfiable formula compiles to a constant with no variable leaves
+    if len(models):
+        assert not np.any(np.isfinite(log_grad[~live]))
+    else:
+        assert np.all(log_grad == 0.0)
+
+
+@given(cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_layouts_agree_bitwise(cnf, seed):
+    """The merged layout only adds identity pads, so values and gradients
+    of a large batch equal those of its rows run in small batches."""
+    lc = layerize(smooth(compile_cnf(cnf)))
+    rows = _corner_rows(np.random.default_rng(seed), 2 * BUCKETED_FROM, cnf.num_vars)
+    whole = LeafBatch.from_probabilities(rows)
+    parts = [LeafBatch.from_probabilities(rows[k:k + BUCKETED_FROM - 1])
+             for k in range(0, len(rows), BUCKETED_FROM - 1)]
+    for s in ("probability", "log"):
+        for fn in (evaluate, backward):
+            split = np.concatenate([fn(lc, part, s) for part in parts])
+            assert np.array_equal(fn(lc, whole, s), split, equal_nan=True)
 
 
 def test_backward_requires_probability_parameterization(ex1_layered):
