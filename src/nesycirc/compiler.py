@@ -679,7 +679,8 @@ def model_count(c: Circuit) -> int:
         raise CircuitError("model_count requires the root to mention every declared "
                            "variable; smooth the circuit first")
     ones = [[1.0] * c.num_vars]
-    return _forward(lc, LeafBatch.from_weights(ones, ones), _COUNT)[lc.root_slot, 0]
+    batch = LeafBatch.from_weights(ones, ones, aux_vars=c.aux_vars)
+    return _forward(lc, batch, _COUNT)[lc.root_slot, 0]
 
 
 # ---------------------------------------------------------------------------

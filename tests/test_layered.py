@@ -76,6 +76,9 @@ def test_log_of_zero_mass_row(ex1_layered):
 def test_layered_equals_recursive(cnf, seed):
     c = smooth(compile_cnf(cnf))
     lc = layerize(c)
+    # one leaf slot per literal or constant, which compile_cnf memoizes
+    assert np.all(np.diff(lc.leaf_cols) > 0)
+    assert lc.n_leaves == sum(node.kind in ("LIT", "TRUE", "FALSE") for node in c.nodes)
     rng = np.random.default_rng(seed)
     batch = LeafBatch.from_probabilities(_rows(rng, cnf.num_vars, b=3))
     for s in ("probability", "log"):
@@ -142,6 +145,21 @@ def test_batch_variable_count_must_match(ex1_layered):
     batch = LeafBatch.from_probabilities([[0.5, 0.5]])
     with pytest.raises(ValueError, match="variables"):
         evaluate(lc, batch)
+
+
+def test_batch_auxiliaries_must_match():
+    """A batch weighting the circuit's auxiliary as an input is refused."""
+    cnf = CNF(3, ((1, 2), (-3, 1), (3, -1)), aux_vars={3})
+    c = compile_cnf(cnf)
+    lc = layerize(c)
+    batch = LeafBatch.from_probabilities([[0.3, 0.6, 0.9]], num_vars=3)
+    for fn in (evaluate, backward):
+        with pytest.raises(ValueError, match="auxiliary"):
+            fn(lc, batch)
+    with pytest.raises(ValueError, match="auxiliary"):
+        evaluate_recursive(c, batch)
+    batch = LeafBatch.from_probabilities([[0.3, 0.6]], num_vars=3, aux_vars={3})
+    assert evaluate(lc, batch)[0] == pytest.approx(brute_force_wmc(cnf, [0.3, 0.6]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +250,29 @@ node 8 OR 1 2 7
 """
 
 
+# The same function with TRUE under two ANDs as well: x1 & x2 & TRUE |
+# ~x1 & (x2 & TRUE | ~x2). Both LIT 2 nodes share a leaf slot, and so do
+# both TRUE nodes.
+DUPLICATE_LEAVES_AND_CONSTANTS = """nnfc 1
+nvars 2
+aux
+nnodes 12
+root 11
+node 0 LIT 1
+node 1 LIT 2
+node 2 TRUE
+node 3 AND 0 1 2
+node 4 LIT -1
+node 5 LIT 2
+node 6 TRUE
+node 7 AND 5 6
+node 8 LIT -2
+node 9 OR 2 7 8
+node 10 AND 4 9
+node 11 OR 1 3 10
+"""
+
+
 @pytest.mark.parametrize("structure", ["probability", "log"])
 def test_backward_sums_duplicate_leaves(structure):
     lc = layerize(circuit_from_text(DUPLICATE_LEAVES))
@@ -291,6 +332,37 @@ def test_gradients_match_exact_oracle_at_corners(b, cnf, seed):
         assert not np.any(np.isfinite(log_grad[~live]))
     else:
         assert np.all(log_grad == 0.0)
+
+
+@LAYOUT_BATCHES
+def test_duplicate_leaves_share_one_slot(b):
+    c = circuit_from_text(DUPLICATE_LEAVES_AND_CONSTANTS)
+    lc = layerize(c)
+    # x1, x2, ~x1, ~x2 and TRUE
+    assert lc.n_leaves == 5
+    assert lc.leaf_cols.tolist() == [0, 1, 2, 3, 4]
+    rng = np.random.default_rng(b)
+    rows = _corner_rows(rng, b, 2)
+    batch = LeafBatch.from_probabilities(rows)
+    models = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+    wmc = _wmc(models, rows)
+    for s in ("probability", "log"):
+        assert np.allclose(evaluate(lc, batch, s), evaluate_recursive(c, batch, s),
+                           atol=1e-12, rtol=0.0)
+    grad, log_grad = backward(lc, batch), backward(lc, batch, "log")
+    live = wmc > 0.0
+    for j in range(2):
+        hi, lo = rows.copy(), rows.copy()
+        hi[:, j], lo[:, j] = 1.0, 0.0
+        want = _wmc(models, hi) - _wmc(models, lo)
+        assert np.allclose(grad[:, j], want, rtol=0.0, atol=1e-13)
+        assert np.allclose(log_grad[live, j], want[live] / wmc[live], rtol=1e-10, atol=1e-13)
+    assert not np.any(np.isfinite(log_grad[~live]))
+    inner = _rows(rng, 2, b=b, lo=0.1, hi=0.9)
+    for s in ("probability", "log"):
+        g = backward(lc, LeafBatch.from_probabilities(inner), s)
+        for row, got in zip(inner, g):
+            assert np.allclose(got, _central_diff(lc, row, s), atol=1e-7, rtol=1e-6)
 
 
 @given(cnfs(), st.integers(0, 2 ** 32 - 1))
