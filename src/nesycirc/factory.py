@@ -263,7 +263,7 @@ class ModuleFactory:
         """
         s = self.resolve_structure(structure_tag)
         nnf = to_nnf(f)
-        n = max(formula_vars(nnf), default=0)
+        n = max(formula_vars(f), default=0)
         names = formula_names(f)
         symbols = [names.get(i, f"v{i}") for i in range(1, n + 1)]
         in_spec = SymTensor(symbols, structure=s, shape=(n,))

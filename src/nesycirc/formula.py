@@ -411,48 +411,71 @@ def parse_formula(text: str, name_table: Mapping[str, Variable]) -> Formula:
     return _Parser(text, name_table).parse()
 
 
-def _postorder(f: Formula) -> list[Formula]:
-    """The nodes of f, children before parents and left subtrees first.
+def _walk(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]:
+    """Each distinct node of f once, children before parents and left first,
+    with the positions of its children in that list; f itself is last.
 
-    Built with an explicit stack as a right-first pre-order, then reversed,
-    so depth costs no Python recursion. A subformula reachable twice is
-    listed twice, as a recursive walk would visit it twice.
+    Nodes are told apart by identity, so a subformula reached along several
+    paths, as :func:`to_nnf` shares them under ``<->``, is listed once and
+    the walk grows with the DAG, not with the tree it unfolds to. Every
+    formula pass loops over this list and reads its children's results by
+    position. The walk is built with an explicit stack, so depth costs no
+    Python recursion, and cached on f, whose class is frozen; the cache
+    leaves f itself out, so it makes no reference cycle.
     """
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
-    out.reverse()
-    return out
+    walk = getattr(f, "_dag", None)
+    if walk is None:
+        pos, nodes, kids, stack = {}, [], [], [f]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):  # (node, child, other child or None): children listed
+                node, a, b = node
+                if id(node) not in pos:
+                    pos[id(node)] = len(nodes)
+                    nodes.append(node)
+                    kids.append((pos[id(a)],) if b is None else (pos[id(a)], pos[id(b)]))
+            elif id(node) in pos:
+                continue
+            elif isinstance(node, Not):
+                stack += ((node, node.child, None), node.child)
+            elif isinstance(node, _BINARY):  # the left child ends on top
+                stack += ((node, node.left, node.right), node.right, node.left)
+            else:
+                pos[id(node)] = len(nodes)
+                nodes.append(node)
+                kids.append(())
+        walk = tuple(nodes[:-1]), tuple(kids)
+        object.__setattr__(f, "_dag", walk)
+    return walk[0] + (f,), walk[1]
 
 
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negations on variables only, no -> or <->.
 
-    ``Iff(a, b)`` becomes ``Or(And(a, b), And(~a, ~b))``. The NNFs of a
-    and of ~a are each built once and shared by both conjunctions, so the
-    result is a DAG whose tree size still doubles with each nested
-    equivalence.
+    ``Iff(a, b)`` becomes ``Or(And(a, b), And(~a, ~b))``. One loop over
+    :func:`_walk` builds each node's NNF and its negation's NNF once, so
+    the NNFs of a and of ~a are shared by both conjunctions, and a
+    subformula shared in f stays shared. The result is a DAG that grows
+    linearly with nested equivalences, though the tree it unfolds to
+    doubles with each one. It is cached on f like the walk, so converting
+    f again (once per structure a module is built under) returns the same
+    NNF, whose own walks are then built only once.
     """
-    # each node's NNF and its negation's NNF, built bottom-up
-    stack: list[tuple[Formula, Formula]] = []
-    for node in _postorder(f):
+    nnf = getattr(f, "_nnf", None)
+    if nnf is not None:
+        return nnf
+    nodes, kids = _walk(f)
+    pairs: list[tuple[Formula, Formula]] = []  # each node's NNF and its negation's
+    for node, ks in zip(nodes, kids):
         if isinstance(node, Var):
             pair = (node, Not(node))
         elif isinstance(node, Not):
-            pos, neg = stack.pop()
+            pos, neg = pairs[ks[0]]
             pair = (neg, pos)
         elif isinstance(node, (TrueF, FalseF)):
             pair = (TRUE, FALSE) if isinstance(node, TrueF) else (FALSE, TRUE)
         elif isinstance(node, _BINARY):
-            bp, bn = stack.pop()
-            ap, an = stack.pop()
+            (ap, an), (bp, bn) = pairs[ks[0]], pairs[ks[1]]
             if isinstance(node, And):
                 pair = (And(ap, bp), Or(an, bn))
             elif isinstance(node, Or):
@@ -463,23 +486,28 @@ def to_nnf(f: Formula) -> Formula:
                 pair = (Or(And(ap, bp), And(an, bn)), And(Or(an, bn), Or(ap, bp)))
         else:
             raise FormulaError(f"unknown formula node {type(node).__name__}")
-        stack.append(pair)
-    return stack[0][0]
+        pairs.append(pair)
+    nnf = pairs[-1][0]
+    if nnf is not f:  # a variable or constant is its own NNF; no self-reference
+        object.__setattr__(f, "_nnf", nnf)
+    return nnf
 
 
 def is_nnf(f: Formula) -> bool:
+    """Whether f is in negation normal form: built from variables, constants,
+    ``&`` and ``|``, with ``~`` on variables only."""
     return all(isinstance(node, (Var, And, Or, TrueF, FalseF))
                or isinstance(node, Not) and isinstance(node.child, Var)
-               for node in _postorder(f))
+               for node in _walk(f)[0])
 
 
 def _fold_constants(f: Formula) -> Formula:
     """Drop TRUE and FALSE from an NNF formula, unless the whole folds to one."""
-    stack: list[Formula] = []
-    for node in _postorder(f):
+    nodes, kids = _walk(f)
+    out: list[Formula] = []
+    for node, ks in zip(nodes, kids):
         if isinstance(node, (And, Or)):
-            b = stack.pop()
-            a = stack.pop()
+            a, b = out[ks[0]], out[ks[1]]
             absorbing, unit = (FalseF, TrueF) if isinstance(node, And) else (TrueF, FalseF)
             if isinstance(a, absorbing) or isinstance(b, absorbing):
                 node = TRUE if absorbing is TrueF else FALSE
@@ -487,26 +515,25 @@ def _fold_constants(f: Formula) -> Formula:
                 node = b
             elif isinstance(b, unit):
                 node = a
-            else:
+            elif a is not nodes[ks[0]] or b is not nodes[ks[1]]:
                 node = type(node)(a, b)
-        elif isinstance(node, Not):
-            stack.pop()
-        stack.append(node)
-    return stack[0]
+        out.append(node)
+    return out[-1]
 
 
 def formula_vars(f: Formula) -> list[int]:
     """Sorted ids of the variables occurring in f."""
-    return sorted({node.id for node in _postorder(f) if isinstance(node, Var)})
+    return sorted({node.id for node in _walk(f)[0] if isinstance(node, Var)})
 
 
 def formula_names(f: Formula) -> dict[int, str]:
     """Variable names recorded on the leaves of f, keyed by id.
 
-    Where leaves of one id carry different names, the leftmost one wins.
+    Where leaves of one id carry different names, the leftmost one wins:
+    :func:`_walk` lists the leaves left to right.
     """
     out: dict[int, str] = {}
-    for node in _postorder(f):
+    for node in _walk(f)[0]:
         if isinstance(node, Var) and node.name and node.id not in out:
             out[node.id] = node.name
     return out
@@ -553,16 +580,16 @@ def to_cnf(f: Formula, num_vars: int | None = None) -> CNF:
 
     def literal_of(sub: Formula) -> int:
         nonlocal next_aux
-        stack: list[tuple[int, object]] = []  # (literal, key) per finished subformula
-        for node in _postorder(sub):
+        nodes, kids = _walk(sub)
+        out: list[tuple[int, object]] = []  # (literal, key) per node
+        for node, ks in zip(nodes, kids):
             if isinstance(node, Var):
-                stack.append((node.id, (node.id, node.name)))
+                out.append((node.id, (node.id, node.name)))
             elif isinstance(node, Not):
-                lit, (v, name) = stack.pop()
-                stack.append((-lit, (-v, name)))
+                lit, (v, name) = out[ks[0]]
+                out.append((-lit, (-v, name)))
             else:
-                b, kb = stack.pop()
-                a, ka = stack.pop()
+                (a, ka), (b, kb) = out[ks[0]], out[ks[1]]
                 key = (isinstance(node, And), ka, kb)
                 z = aux_of.get(key)
                 if z is None:
@@ -576,8 +603,8 @@ def to_cnf(f: Formula, num_vars: int | None = None) -> CNF:
                         emit([z, -a])
                         emit([z, -b])
                         emit([-z, a, b])
-                stack.append((z, z))
-        return stack[0][0]
+                out.append((z, z))
+        return out[-1][0]
 
     for conjunct in _flatten(folded, And):
         emit([literal_of(disjunct) for disjunct in _flatten(conjunct, Or)])
@@ -674,18 +701,18 @@ def _residual(clauses, a: dict[int, bool]) -> list[tuple[int, ...]] | None:
 
 
 def _eval_formula(f: Formula, a: dict[int, bool]) -> bool:
-    """Truth value of f under a; one loop over :func:`_postorder`, every leaf read."""
-    stack: list[bool] = []
-    for node in _postorder(f):
+    """Truth value of f under a; one loop over :func:`_walk`, every leaf read."""
+    nodes, kids = _walk(f)
+    values: list[bool] = []
+    for node, ks in zip(nodes, kids):
         if isinstance(node, Var):
             if node.id not in a:
                 raise ValueError(f"missing assignment for variable {node.id}")
             value = a[node.id]
         elif isinstance(node, Not):
-            value = not stack.pop()
+            value = not values[ks[0]]
         elif isinstance(node, _BINARY):
-            right = stack.pop()
-            left = stack.pop()
+            left, right = values[ks[0]], values[ks[1]]
             if isinstance(node, And):
                 value = left and right
             elif isinstance(node, Or):
@@ -698,8 +725,8 @@ def _eval_formula(f: Formula, a: dict[int, bool]) -> bool:
             value = isinstance(node, TrueF)
         else:
             raise FormulaError(f"unknown formula node {type(node).__name__}")
-        stack.append(value)
-    return stack[0]
+        values.append(value)
+    return values[-1]
 
 
 def _mini_sat(clauses: list[tuple[int, ...]]) -> bool:

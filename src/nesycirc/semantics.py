@@ -14,8 +14,11 @@ integers. Boolean and probability share the linear semiring; the boolean
 structure adds a rule for its leaf weights. The fuzzy families are not
 circuit safe; decision splits and smoothing gadgets are WMC-preserving
 rewrites, not fuzzy-value-preserving ones, so fuzzy evaluation works on the
-NNF formula tree only: one forward loop over its nodes, children first, and
-for gradients one reverse sweep over the same nodes.
+NNF formula only. It runs on the formula as a DAG: one forward loop over
+its cached walk, which lists each distinct node once, children first, and
+for gradients one reverse sweep over the same nodes that sums a shared
+node's adjoint over its parents. So nested equivalences, whose NNF shares
+subformulas, cost time linear in their number, not exponential.
 
 Structure tags resolve through one registry and alias table
 (:func:`get_structure`). Structure-to-structure value conversions live in
@@ -31,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CarrierError, FormulaError, IncompatibleStructures, StructureError
-from .formula import And, FalseF, Not, Or, TrueF, Var, _postorder
+from .formula import And, FalseF, Not, Or, TrueF, Var, _walk, formula_vars
 
 __all__ = [
     "Carrier", "FuzzyConnectives", "Semiring", "Structure", "builtin_structures",
@@ -284,41 +287,37 @@ def fuzzy_structure_from_ops(name: str, ops: dict) -> Structure:
 def _fuzzy_forward(f, s, var_scores):
     """Evaluate every node of an NNF formula under a fuzzy structure.
 
-    One loop over :func:`~nesycirc.formula._postorder` computes each node's
-    value from its children's and records their positions, which the
-    reverse sweep of :func:`fuzzy_value_and_grad` reads back. Returns the
-    structure, the scores array, the nodes, their values and their child
-    positions; the root is last.
+    One loop over the formula's cached walk (:func:`~nesycirc.formula._walk`)
+    computes each distinct node's value from its children's, read by
+    position. Returns the structure, the scores array, the nodes, their
+    values and their child positions; the root is last.
     """
     s = get_structure(s)
     conn = s.fuzzy
     if conn is None:
         raise StructureError(f"structure {s.name!r} is not a fuzzy family")
     scores = np.asarray(var_scores, dtype=np.float64)
-    nodes = _postorder(f)
+    width = scores.shape[-1] if scores.ndim else 0
+    nodes, kids = _walk(f)
     values: list = []
-    kids: list[tuple[int, ...]] = []
-    pending: list[int] = []  # positions of finished subformulas awaiting their parent
-    for i, node in enumerate(nodes):
+    for node, ks in zip(nodes, kids):
         if isinstance(node, Var):
-            ks, v = (), scores[..., node.id - 1]
+            if node.id > width:
+                raise ValueError(f"the formula reads variables up to id {formula_vars(f)[-1]}, "
+                                 f"but the scores have {width} columns")
+            v = scores[..., node.id - 1]
         elif isinstance(node, Not) and isinstance(node.child, Var):
-            ks = (pending.pop(),)
             v = conn.neg(values[ks[0]])
         elif isinstance(node, (And, Or)):
-            right = pending.pop()
-            ks = (pending.pop(), right)
             op = conn.conj if isinstance(node, And) else conn.disj
-            v = op(values[ks[0]], values[right])
+            v = op(values[ks[0]], values[ks[1]])
         elif isinstance(node, TrueF):
-            ks, v = (), np.ones(scores.shape[:-1])
+            v = np.ones(scores.shape[:-1])
         elif isinstance(node, FalseF):
-            ks, v = (), np.zeros(scores.shape[:-1])
+            v = np.zeros(scores.shape[:-1])
         else:
             raise FormulaError("fuzzy evaluation needs NNF input; apply to_nnf first")
         values.append(v)
-        kids.append(ks)
-        pending.append(i)
     return s, scores, nodes, values, kids
 
 
@@ -327,6 +326,8 @@ def evaluate_fuzzy(f, s, var_scores) -> np.ndarray:
 
     ``var_scores`` has variable id i at index i-1 along the last axis;
     leading axes are batch dimensions and broadcast through the connectives.
+    Raises ValueError when that axis is narrower than the highest variable
+    id of f.
     """
     values = _fuzzy_forward(f, s, var_scores)[3]
     return values[-1]
@@ -340,7 +341,10 @@ def fuzzy_value_and_grad(f, s, var_scores):
     comes from the forward loop :func:`evaluate_fuzzy` runs; the gradient
     from one reverse sweep over the same nodes, which carries one adjoint
     per node, shaped like the value, and adds each leaf's into the column
-    of its variable.
+    of its variable. The nodes are the formula's DAG: a subformula with
+    several parents, as :func:`~nesycirc.formula.to_nnf` shares under
+    ``<->``, is visited once, after all of them, and its adjoint is the sum
+    of their contributions.
     """
     s, scores, nodes, values, kids = _fuzzy_forward(f, s, var_scores)
     conn = s.fuzzy
@@ -350,19 +354,25 @@ def fuzzy_value_and_grad(f, s, var_scores):
     grad = np.zeros(scores.shape)
     adj = [None] * len(nodes)
     adj[-1] = np.ones(scores.shape[:-1])
+
+    def add(c, g):
+        # the first parent assigns, so a tree node's adjoint is exactly its
+        # one product; later parents add to it
+        adj[c] = g if adj[c] is None else adj[c] + g
+
     for i in range(len(nodes) - 1, -1, -1):
         node, a = nodes[i], adj[i]
         if isinstance(node, Var):
             grad[..., node.id - 1] += a
         elif isinstance(node, Not):
             (c,) = kids[i]
-            adj[c] = a * conn.neg_grad(values[c])
+            add(c, a * conn.neg_grad(values[c]))
         elif isinstance(node, (And, Or)):
             l, r = kids[i]
             rule = conn.conj_grad if isinstance(node, And) else conn.disj_grad
             da, db = rule(values[l], values[r])
-            adj[l] = a * da
-            adj[r] = a * db
+            add(l, a * da)
+            add(r, a * db)
     return values[-1], grad
 
 

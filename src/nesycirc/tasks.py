@@ -57,13 +57,14 @@ def _circuit_backend(m: AnnotatedModule) -> CircuitBackend:
 
 
 def _loss_batch(back: CircuitBackend, prob_rows) -> LeafBatch:
-    if isinstance(prob_rows, LeafBatch):
-        if prob_rows.probs is None:
-            raise ValueError("semantic loss differentiates probabilities; build the "
-                             "batch with LeafBatch.from_probabilities")
-        return prob_rows
-    return LeafBatch.from_probabilities(prob_rows, num_vars=back.cnf.num_vars,
-                                        aux_vars=back.cnf.aux_vars)
+    batch = prob_rows if isinstance(prob_rows, LeafBatch) else LeafBatch.from_probabilities(
+        prob_rows, num_vars=back.cnf.num_vars, aux_vars=back.cnf.aux_vars)
+    if batch.probs is None:
+        raise ValueError("semantic loss differentiates probabilities; build the "
+                         "batch with LeafBatch.from_probabilities")
+    if not batch.batch_size:
+        raise ValueError("semantic loss is a mean over rows; the batch has none")
+    return batch
 
 
 def _warn_infinite(per_row: np.ndarray) -> None:
@@ -80,7 +81,7 @@ def semantic_loss(m: AnnotatedModule, prob_rows) -> float:
     equivalent LeafBatch. Evaluation goes through the log structure, so
     small weighted counts lose no precision to underflow. A row whose
     weighted count is zero contributes +inf (never NaN) and triggers a
-    warning naming the row.
+    warning naming the row. A batch of zero rows raises ValueError.
     """
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)

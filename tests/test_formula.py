@@ -1,18 +1,22 @@
 """Parsers, normal forms, and the brute-force oracles they are checked by."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nesycirc.compiler import compile_cnf, smooth
+from nesycirc.compiler import compile_cnf, model_count, smooth
 from nesycirc.errors import DimacsError, FormulaError
 from nesycirc.formula import (CNF, FALSE, MAX_PAREN_DEPTH, MAX_VARS, TRUE, And,
-                              Iff, Implies, Not, Or, Var, brute_force_models,
+                              Formula, Iff, Implies, Not, Or, Var, _walk,
+                              brute_force_models,
                               brute_force_wmc, cnf_to_formula, eval_assignment,
                               formula_names, formula_vars, is_nnf,
                               make_name_table, parse_dimacs, parse_formula,
                               serialize_dimacs, to_cnf, to_nnf)
 from nesycirc.layered import LeafBatch, evaluate, layerize
+from nesycirc.semantics import evaluate_fuzzy, fuzzy_value_and_grad
 
 EX1 = "c two-clause constraint\np cnf 3 2\n-1 2 0\n2 -3 0\n"
 
@@ -183,6 +187,10 @@ def test_formula_names_and_vars():
     f = _parse("(a -> b) & (c -> b)")
     assert formula_vars(f) == [1, 2, 3]
     assert formula_names(f) == {1: "a", 2: "b", 3: "c"}
+    shared = Var(2, "late")
+    g = Or(And(Var(2, "early"), shared), And(shared, Var(1)))
+    assert formula_vars(g) == [1, 2]
+    assert formula_names(g) == {2: "early"}  # the leftmost name wins
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +254,53 @@ def test_deep_formula_evaluates_without_recursion():
     assert brute_force_models(f) == [{1: True, 2: True}]
     with pytest.raises(ValueError, match="missing assignment for variable 2"):
         eval_assignment(Or(TRUE, Var(2)), {1: True})
+
+
+def _distinct_nodes(f) -> int:
+    """Nodes of f counted by identity, from the dataclass fields alone."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            children = (getattr(node, field.name) for field in dataclasses.fields(node))
+            stack.extend(c for c in children if isinstance(c, Formula))
+    return len(seen)
+
+
+def test_long_equivalence_chain_is_linear():
+    """x0 <-> ... <-> x39: its NNF unfolds to a tree of more than 2^40 nodes,
+    but every pass walks the DAG. The cheap checks come first, so a
+    regression fails instead of hanging."""
+    n = 40
+    names = [f"x{i}" for i in range(n)]
+    f = parse_formula(" <-> ".join(names), make_name_table(names))
+    nnf = to_nnf(f)
+    assert to_nnf(f) is nnf  # converted once, cached on f
+    nodes, kids = _walk(nnf)
+    assert len(nodes) == len(kids) == _distinct_nodes(nnf) < 10 * n
+    assert nodes[-1] is nnf
+    assert _walk(nnf)[0] == nodes  # cached, not rebuilt differently
+
+    cnf = to_cnf(nnf)
+    assert cnf.n_inputs == n
+    # the auxiliaries are functionally determined, so the count is exact
+    assert model_count(compile_cnf(cnf)) == 2 ** (n - 1)
+
+    rng = np.random.default_rng(3)
+    rows = np.vstack([np.ones(n), np.zeros(n), rng.integers(0, 2, (30, n))]).astype(np.float64)
+    parity = ((n - rows.sum(axis=1)) % 2 == 0).astype(np.float64)  # even count of falses
+    for family in ("fuzzy_product", "fuzzy_godel", "fuzzy_lukasiewicz"):
+        value, grad = fuzzy_value_and_grad(nnf, family, rows)
+        assert np.array_equal(value, parity)
+        assert np.array_equal(evaluate_fuzzy(nnf, family, rows), parity)
+        assert grad.shape == rows.shape and np.all(np.isfinite(grad))
+
+    for falses, want in ((0, True), (1, False), (2, True), (n, True)):
+        a = {v: v > falses for v in range(1, n + 1)}
+        assert eval_assignment(f, a) is want
+        assert eval_assignment(nnf, a) is want
+        assert eval_assignment(cnf, a) is want
 
 
 @given(formulas(max_vars=4, max_depth=3))

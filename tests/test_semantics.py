@@ -203,6 +203,8 @@ def test_grad_matches_finite_differences(name):
     for _ in range(20):
         _fd_check(f, name, 0.05 + 0.9 * rng.random(3))
         _fd_check(Or(shared, shared), name, 0.05 + 0.9 * rng.random(2))
+        # NNF of nested equivalences shares each operand between two parents
+        _fd_check(to_nnf(_parse("A <-> (B <-> C)")), name, 0.05 + 0.9 * rng.random(3))
 
 
 def test_deep_alternating_formula_value_and_grad():
@@ -240,6 +242,15 @@ def test_deep_alternating_formula_value_and_grad():
     np.testing.assert_allclose(val, below[1], rtol=1e-12)
     assert np.all(grad != 0.0)
     np.testing.assert_allclose(grad, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("scores", [np.full((4, 2), 0.5), np.full(2, 0.5), np.float64(0.5)])
+def test_fuzzy_rejects_too_few_score_columns(scores):
+    f = to_nnf(_parse("A & (B | ~C)"))
+    for fn in (evaluate_fuzzy, fuzzy_value_and_grad):
+        width = scores.shape[-1] if scores.ndim else 0
+        with pytest.raises(ValueError, match=f"up to id 3, but the scores have {width} columns"):
+            fn(f, "fuzzy_product", scores)
 
 
 def test_grad_golden_product():

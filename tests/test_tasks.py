@@ -1,6 +1,7 @@
 """Semantic loss, the addition task, the timing harness, and weight files."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ def test_loss_rejects_weight_batches(ex1_module):
     ones = np.ones((1, 3))
     with pytest.raises(ValueError, match="from_probabilities"):
         semantic_loss(ex1_module, LeafBatch.from_weights(ones, ones))
+
+
+def test_loss_rejects_zero_rows(ex1_module):
+    empty = np.empty((0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch in (empty, LeafBatch.from_probabilities(empty)):
+            for fn in (semantic_loss, semantic_loss_and_grad):
+                with pytest.raises(ValueError, match="the batch has none"):
+                    fn(ex1_module, batch)
 
 
 def test_loss_needs_circuit_backing():
