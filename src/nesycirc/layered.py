@@ -28,7 +28,11 @@ per product edge. A sum edge passes its parent's adjoint unchanged, so its
 row is the parent's own; a product edge's row holds the parent adjoint
 times the product of the edge's siblings, the exclusive prefix scan times
 the exclusive suffix scan (``accumulate(axis=0)``), which is exact at zero
-weights with no division.
+weights with no division. The leaf layer's pull alone leaves the semiring:
+the structure's ``finish`` maps each in-edge's adjoint to a linear
+derivative, and the group sums those with ``np.add``. Under log that is
+one ``exp`` and a linear sum in place of a ``logaddexp`` reduction, while
+the interior pulls and the scans stay in log space.
 
 At small batches the cost is the number of numpy calls, not their width,
 so below :data:`BUCKETED_FROM` rows the same loops run on a merged layout:
@@ -54,8 +58,10 @@ against a structure name. Fuzzy structures are refused here; see
 
 The reverse pass returns d(value)/d(p_v) per batch row for the non-auxiliary
 variables. Under the log structure the gradient is still taken with respect
-to raw probabilities, d log WMC / d p_v, and is computed entirely in log
-space before the final exponentiation.
+to raw probabilities, d log WMC / d p_v: the adjoints stay in log space down
+to the leaf in-edges, and each is normalized by log WMC before it is
+exponentiated, so rows whose WMC underflows in probability space still get
+finite gradients. A row with zero WMC has none: NaN in every column.
 """
 
 from __future__ import annotations
@@ -411,8 +417,10 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
 
     Shape (batch, n_inputs). Requires a probability-parameterized batch (the
     ``from_probabilities`` constructor); the probability structure returns
-    dWMC/dp, the log structure d log WMC / dp. Rows with zero weighted count
-    have no finite log-gradient and come back non-finite.
+    dWMC/dp, the log structure d log WMC / dp. A row with zero weighted
+    count has no log-gradient and comes back NaN in every column; only the
+    constant circuit of an unsatisfiable formula, which has no variable
+    leaves, gives zeros there.
     """
     return _value_and_grad(lc, batch, structure)[1]
 
@@ -448,8 +456,10 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
     layout = lc.layouts[B >= BUCKETED_FROM]
     adj = np.empty((layout.n_rows, B))
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
-    for layer, buckets, pulls in zip(reversed(lc.layers), reversed(layout.buckets),
-                                     reversed(layout.pulls)):
+    root = buf[lc.root_slot]
+    # top down through every layer above the leaves, which are layer 0
+    for layer, buckets, pulls in zip(lc.layers[:0:-1], layout.buckets[:0:-1],
+                                     layout.pulls[:0:-1]):
         for slots, rows in pulls:
             adj[slots] = sr.add.reduce(adj[rows], axis=0)
         if layer.kind != "PROD":
@@ -465,8 +475,10 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
             suffix = buf[children[:0:-1]]
             _scan(sr.mul, suffix)
             sr.mul(out[:-1], suffix[::-1], out=out[:-1])
-    grad = _leaf_grad(lc, sr.finish(adj[:lc.n_leaves], buf[lc.root_slot]))
-    return buf[lc.root_slot].copy(), grad
+    # the leaf pulls leave the semiring: finish each in-edge, sum linearly
+    for slots, rows in layout.pulls[0]:
+        adj[slots] = np.add.reduce(sr.finish(adj[rows], root), axis=0)
+    return root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,13 @@ def _log(w):
 
 
 def _normalized_exp(ladj, log_z):
-    # ladj holds log of the WMC-space adjoints; normalizing by log WMC and
-    # exponentiating gives d log WMC / d w.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(ladj - log_z[None, :])
+    # ladj holds logs of WMC-space adjoints, batch along the last axis;
+    # normalizing by log WMC and exponentiating gives d log WMC / d w. A
+    # zero count (log_z = -inf) has no log derivative: its rows are NaN in
+    # every entry, whatever the adjoint.
+    shift = np.where(log_z > -np.inf, log_z, np.nan)
+    with np.errstate(over="ignore"):
+        return np.exp(ladj - shift)
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,12 @@ class Semiring:
     weights into the carrier and ``unleaf`` maps carrier values back to
     linear weights, which is how values under the structure become leaf
     weights. ``dtype`` is the element type of the pass's buffers.
-    ``finish(leaf_adj, root_value)`` turns leaf adjoints into derivatives
-    of the circuit value with respect to the literal weights.
+    ``finish(adj, root_value)`` maps the adjoint of each in-edge of a leaf
+    (the batch along the last axis) to a linear derivative of the circuit
+    value with respect to the literal weight, and must turn the semiring
+    sum into a linear one: ``finish(add.reduce(a))`` equals
+    ``np.add.reduce(finish(a))``, which is how the reverse pass sums a
+    leaf's in-edges. Under log, a zero root value makes it NaN throughout.
     """
 
     zero: float

@@ -93,9 +93,9 @@ def semantic_loss(m: AnnotatedModule, prob_rows) -> float:
 def semantic_loss_and_grad(m: AnnotatedModule, prob_rows) -> tuple[float, np.ndarray]:
     """Loss plus per-row gradients d(-log WMC)/dp, shape (batch, n_inputs).
 
-    Gradients of zero-count rows are non-finite, matching their infinite
-    loss; projected descent keeps probabilities inside (0, 1) and never
-    encounters that case.
+    A zero-count row, whose loss is infinite, has no gradient: NaN in
+    every column. Projected descent keeps probabilities inside (0, 1) and
+    never encounters that case.
     """
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)

@@ -326,12 +326,48 @@ def test_gradients_match_exact_oracle_at_corners(b, cnf, seed):
         assert np.allclose(grad[:, j], want, rtol=0.0, atol=1e-13)
         assert np.allclose(log_grad[live, j], want[live] / wmc[live], rtol=1e-10, atol=1e-13)
     assert np.all(np.isfinite(grad))
-    # a zero count has no finite log-gradient in any column; an
+    # a zero count has no log-gradient: NaN in every column; an
     # unsatisfiable formula compiles to a constant with no variable leaves
     if len(models):
-        assert not np.any(np.isfinite(log_grad[~live]))
+        assert np.all(np.isnan(log_grad[~live]))
     else:
         assert np.all(log_grad == 0.0)
+
+
+@LAYOUT_BATCHES
+@pytest.mark.parametrize("clauses, p, grad", [
+    (((1, 2),), (0.0, 0.0), (1.0, 1.0)),
+    # a zero count over a finite leaf derivative, once +inf in column 0
+    (((1,), (2,)), (0.0, 1.0), (1.0, 0.0)),
+], ids=["x1|x2", "x1&x2"])
+def test_zero_count_log_gradient_is_nan(b, clauses, p, grad):
+    lc = layerize(compile_cnf(CNF(2, clauses)))
+    batch = LeafBatch.from_probabilities(np.tile(p, (b, 1)))
+    assert np.all(evaluate(lc, batch, "log") == -np.inf)
+    assert np.all(np.isnan(backward(lc, batch, "log")))
+    assert np.array_equal(backward(lc, batch), np.tile(grad, (b, 1)))
+
+
+def test_log_gradient_survives_probability_underflow():
+    """A 2500-variable implication chain at p = 0.3 has a weighted count
+    of about exp(-891): zero in floating point, finite in log space."""
+    n = 2500
+    lc = layerize(compile_cnf(CNF(n, tuple((-i, i + 1) for i in range(1, n)))))
+    row = np.full(n, 0.3)
+    batch = LeafBatch.from_probabilities(row)
+    assert evaluate(lc, batch)[0] == 0.0
+    log_z = evaluate(lc, batch, "log")[0]
+    assert log_z == pytest.approx(-891.13, abs=0.01)
+    g = backward(lc, batch, "log")[0]
+    assert np.all(np.isfinite(g))
+    h = 1e-5
+    for j in np.random.default_rng(0).choice(n, 12, replace=False):
+        hi, lo = row.copy(), row.copy()
+        hi[j] += h
+        lo[j] -= h
+        fd = (evaluate(lc, LeafBatch.from_probabilities(hi), "log")[0]
+              - evaluate(lc, LeafBatch.from_probabilities(lo), "log")[0]) / (2 * h)
+        assert g[j] == pytest.approx(fd, rel=1e-6)
 
 
 @LAYOUT_BATCHES
@@ -357,7 +393,7 @@ def test_duplicate_leaves_share_one_slot(b):
         want = _wmc(models, hi) - _wmc(models, lo)
         assert np.allclose(grad[:, j], want, rtol=0.0, atol=1e-13)
         assert np.allclose(log_grad[live, j], want[live] / wmc[live], rtol=1e-10, atol=1e-13)
-    assert not np.any(np.isfinite(log_grad[~live]))
+    assert np.all(np.isnan(log_grad[~live]))
     inner = _rows(rng, 2, b=b, lo=0.1, hi=0.9)
     for s in ("probability", "log"):
         g = backward(lc, LeafBatch.from_probabilities(inner), s)

@@ -94,6 +94,30 @@ def test_no_structure_name_branches_outside_semantics():
 
 
 # ---------------------------------------------------------------------------
+# Semirings
+
+# entries in [-8, 8] and at most 6 rows keep the rounding of the
+# logaddexp chain (half an ulp of a value below 16 per step) under 1e-14
+log_entry = st.one_of(st.just(-np.inf), st.floats(-8.0, 8.0))
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+           st.lists(log_entry, min_size=4, max_size=4), min_size=d, max_size=d)),
+       st.lists(log_entry, min_size=4, max_size=4))
+def test_log_finish_turns_the_semiring_sum_into_a_linear_sum(adj, log_z):
+    """The reverse pass finishes each leaf in-edge and sums linearly:
+    exp(logsumexp(a) - log Z) = sum(exp(a - log Z)); a zero count
+    (log Z = -inf) is NaN either way."""
+    finish = get_structure("log").semiring.finish
+    a, z = np.array(adj), np.array(log_z)
+    linear = np.add.reduce(finish(a, z), axis=0)
+    want = finish(np.logaddexp.reduce(a, axis=0), z)
+    assert np.array_equal(np.isnan(linear), z == -np.inf)
+    assert np.array_equal(np.isnan(want), z == -np.inf)
+    np.testing.assert_allclose(linear, want, rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # Connective algebra
 
 
