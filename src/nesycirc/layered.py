@@ -34,6 +34,20 @@ derivative, and the group sums those with ``np.add``. Under log that is
 one ``exp`` and a linear sum in place of a ``logaddexp`` reduction, while
 the interior pulls and the scans stay in log space.
 
+Two numpy costs that no output shows are kept out of the loops. A ufunc
+reduction starts from the ufunc's identity unless told otherwise, which is
+one more operation per output element: under log a ``logaddexp(-inf, x)``
+each, which makes a one-row pull of 29 slots at 1024 rows some 40 times
+slower than a copy. So the reductions start from their first operand, and
+a pull group of in-degree one is a row gather with no reduction at all.
+Both are exact, as ``logaddexp(-inf, x)``, ``1 * x`` and ``0 + x`` return
+``x`` (the last but for ``x = -0.0``), save one case that keeps the
+identity: numpy sums a reduction to a single element pairwise, and there
+the start would regroup the terms. And ``np.take(..., out=...)`` in its
+default ``mode="raise"`` copies through a temporary buffer, which about
+triples the time of the scans' ``(19, 2, 1024)`` gathers, so those run
+with ``mode="clip"``; ``layerize`` builds every index in range.
+
 At small batches the cost is the number of numpy calls, not their width,
 so below :data:`BUCKETED_FROM` rows the same loops run on a merged layout:
 one bucket and one pull group per layer, padded to the layer's largest
@@ -62,11 +76,21 @@ to raw probabilities, d log WMC / d p_v: the adjoints stay in log space down
 to the leaf in-edges, and each is normalized by log WMC before it is
 exponentiated, so rows whose WMC underflows in probability space still get
 finite gradients. A row with zero WMC has none: NaN in every column.
+
+Under ``probability`` a large circuit's WMC can underflow to zero.
+:func:`evaluate` and :func:`backward` then raise a ``RuntimeWarning`` that
+names the rows and points to ``log_probability``: a row warns when its
+root reads the semiring zero while none of its leaf slots does, as a
+smooth d-DNNF without FALSE leaves is satisfiable and so has a nonzero
+true value. Exact zeros (a zero leaf weight, an unsatisfiable formula's
+FALSE constant) never warn, and under log and boolean a zero root always
+has a zero leaf.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -377,6 +401,17 @@ def _check_compatible(c: LayeredCircuit | Circuit, batch: LeafBatch, s) -> None:
         s.weights.require(batch.neg, "negative weight")
 
 
+def _reduce(op: np.ufunc, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op.reduce(x, axis=0)``, started from ``x[0]`` rather than the identity.
+
+    An identity start costs one more ``op`` per output element, under log a
+    ``logaddexp(-inf, x)`` each. A reduction to a single element keeps it:
+    numpy sums that one pairwise, and there the start would regroup the
+    terms and change the last bit.
+    """
+    return op.reduce(x, axis=0, out=out, initial=None if x.size > len(x) else op.identity)
+
+
 def _forward(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
     buf = np.empty((lc.n_slots + 2, batch.batch_size), dtype=sr.dtype)
     # np.take along axis 1: on sum-999's 128-column table at 8192 rows it
@@ -385,18 +420,42 @@ def _forward(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
     buf[lc.n_slots:] = sr.leaf(batch.literals[:, -2:].T)  # the pads: TRUE, FALSE
     layout = lc.layouts[batch.batch_size >= BUCKETED_FROM]
     for layer, buckets in zip(lc.layers, layout.buckets):
-        reduce = (sr.mul if layer.kind == "PROD" else sr.add).reduce
+        op = sr.mul if layer.kind == "PROD" else sr.add
         for start, stop, children, _ in buckets:
-            reduce(buf[children], axis=0, out=buf[start:stop])
+            _reduce(op, buf[children], buf[start:stop])
     return buf
 
 
+def _root(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
+    """The root's row of a forward buffer, warning about rows that underflowed.
+
+    A smooth d-DNNF is satisfiable unless it has a FALSE leaf, so a row
+    whose root reads the semiring zero while none of its leaf slots does
+    has a nonzero true value that was lost to rounding.
+    """
+    root = buf[lc.root_slot]
+    zero = root == sr.zero
+    if zero.any():
+        rows = np.flatnonzero(zero)
+        rows = rows[~(buf[:lc.n_leaves, rows] == sr.zero).any(axis=0)]
+        if rows.size:
+            shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
+            warnings.warn(f"the circuit value underflowed to zero in {rows.size} batch row(s) "
+                          f"({shown}) whose leaf weights are all nonzero; evaluate under "
+                          f"'log_probability' instead", RuntimeWarning, stacklevel=3)
+    return root
+
+
 def evaluate(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> np.ndarray:
-    """One value per batch row: WMC, log-WMC, or a 0/1 satisfaction flag."""
+    """One value per batch row: WMC, log-WMC, or a 0/1 satisfaction flag.
+
+    Warns (``RuntimeWarning``) naming the rows whose value underflowed to
+    zero; see the module notes.
+    """
     s = get_structure(structure)
     _check_compatible(lc, batch, s)
-    buf = _forward(lc, batch, s.semiring)
-    return buf[lc.root_slot].copy()
+    sr = s.semiring
+    return _root(lc, _forward(lc, batch, sr), sr).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +479,7 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
     dWMC/dp, the log structure d log WMC / dp. A row with zero weighted
     count has no log-gradient and comes back NaN in every column; only the
     constant circuit of an unsatisfiable formula, which has no variable
-    leaves, gives zeros there.
+    leaves, gives zeros there. Warns as :func:`evaluate` does.
     """
     return _value_and_grad(lc, batch, structure)[1]
 
@@ -453,15 +512,15 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
     B = batch.batch_size
     sr = s.semiring
     buf = _forward(lc, batch, sr)
+    root = _root(lc, buf, sr)
     layout = lc.layouts[B >= BUCKETED_FROM]
     adj = np.empty((layout.n_rows, B))
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
-    root = buf[lc.root_slot]
     # top down through every layer above the leaves, which are layer 0
     for layer, buckets, pulls in zip(lc.layers[:0:-1], layout.buckets[:0:-1],
                                      layout.pulls[:0:-1]):
         for slots, rows in pulls:
-            adj[slots] = sr.add.reduce(adj[rows], axis=0)
+            adj[slots] = adj[rows[0]] if len(rows) == 1 else _reduce(sr.add, adj[rows])
         if layer.kind != "PROD":
             continue
         for start, stop, children, first_row in buckets:
@@ -470,14 +529,15 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
             fanin, m = children.shape
             out = adj[first_row:first_row + fanin * m].reshape(fanin, m, B)
             out[0] = adj[start:stop]
-            np.take(buf, children[:-1], axis=0, out=out[1:])
+            np.take(buf, children[:-1], axis=0, out=out[1:], mode="clip")
             _scan(sr.mul, out)
             suffix = buf[children[:0:-1]]
             _scan(sr.mul, suffix)
             sr.mul(out[:-1], suffix[::-1], out=out[:-1])
     # the leaf pulls leave the semiring: finish each in-edge, sum linearly
     for slots, rows in layout.pulls[0]:
-        adj[slots] = np.add.reduce(sr.finish(adj[rows], root), axis=0)
+        adj[slots] = sr.finish(adj[rows[0]], root) if len(rows) == 1 else \
+            _reduce(np.add, sr.finish(adj[rows], root))
     return root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
 
 

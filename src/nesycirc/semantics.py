@@ -87,7 +87,13 @@ class Semiring:
     children with ``mul`` and sum layers with ``add``; the reverse pass
     pulls each adjoint as the ``add`` of its in-edges and forms a product
     edge's share with ``mul.accumulate`` scans. ``zero`` and ``one`` are
-    their identities, which also pad merged layers. ``leaf`` maps literal
+    their identities, which also pad merged layers; a root that reads
+    ``zero`` while no leaf does is what counts as an underflow. The
+    ufuncs' own identities must be those values, and ``add(zero, x)`` and
+    ``mul(one, x)`` must return ``x``: the layer loops start each reduction
+    from its first operand, not from the identity, which costs one more
+    operation per output element (under log a ``logaddexp(-inf, x)``),
+    and gather a one-row pull instead of reducing it. ``leaf`` maps literal
     weights into the carrier and ``unleaf`` maps carrier values back to
     linear weights, which is how values under the structure become leaf
     weights. ``dtype`` is the element type of the pass's buffers.

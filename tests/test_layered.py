@@ -1,15 +1,19 @@
 """Layered batched evaluation and its gradients against reference paths."""
 
+import ast
+import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nesycirc import layered
 from nesycirc.compiler import circuit_from_text, compile_cnf, smooth
 from nesycirc.errors import CarrierError, CircuitError, StructureError
 from nesycirc.formula import CNF, brute_force_wmc, eval_assignment, parse_dimacs
-from nesycirc.layered import (BUCKETED_FROM, LeafBatch, backward, evaluate,
+from nesycirc.layered import (BUCKETED_FROM, LeafBatch, _reduce, backward, evaluate,
                               evaluate_recursive, layer_summary, layerize)
 
 from test_compiler import UNSMOOTH
@@ -317,7 +321,9 @@ def test_gradients_match_exact_oracle_at_corners(b, cnf, seed):
     batch = LeafBatch.from_probabilities(rows)
     models = _models(cnf)
     wmc = _wmc(models, rows)
-    grad, log_grad = backward(lc, batch), backward(lc, batch, "log")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # zero counts here are exact: no underflow warning
+        grad, log_grad = backward(lc, batch), backward(lc, batch, "log")
     live = wmc > 0.0
     for j in range(cnf.num_vars):
         hi, lo = rows.copy(), rows.copy()
@@ -355,10 +361,13 @@ def test_log_gradient_survives_probability_underflow():
     lc = layerize(compile_cnf(CNF(n, tuple((-i, i + 1) for i in range(1, n)))))
     row = np.full(n, 0.3)
     batch = LeafBatch.from_probabilities(row)
-    assert evaluate(lc, batch)[0] == 0.0
-    log_z = evaluate(lc, batch, "log")[0]
+    with pytest.warns(RuntimeWarning, match="log_probability"):
+        assert evaluate(lc, batch)[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_z = evaluate(lc, batch, "log")[0]
+        g = backward(lc, batch, "log")[0]
     assert log_z == pytest.approx(-891.13, abs=0.01)
-    g = backward(lc, batch, "log")[0]
     assert np.all(np.isfinite(g))
     h = 1e-5
     for j in np.random.default_rng(0).choice(n, 12, replace=False):
@@ -368,6 +377,32 @@ def test_log_gradient_survives_probability_underflow():
         fd = (evaluate(lc, LeafBatch.from_probabilities(hi), "log")[0]
               - evaluate(lc, LeafBatch.from_probabilities(lo), "log")[0]) / (2 * h)
         assert g[j] == pytest.approx(fd, rel=1e-6)
+
+
+def test_underflow_warning_names_the_rows():
+    """Rows at p = 0 or 1 keep one model of the chain at weight one; the
+    rows at p = 0.3 lose theirs to rounding, in the value and the gradient."""
+    n = 2500
+    lc = layerize(compile_cnf(CNF(n, tuple((-i, i + 1) for i in range(1, n)))))
+    batch = LeafBatch.from_probabilities(np.array([[0.3], [1.0], [0.3], [0.0]]) * np.ones(n))
+    for fn in (evaluate, backward):
+        with pytest.warns(RuntimeWarning, match=r"2 batch row\(s\) \(0, 2\)"):
+            fn(lc, batch)
+
+
+@pytest.mark.parametrize("clauses, p", [
+    (((1,), (2,)), (0.0, 1.0)),  # a zero count at a corner: a leaf reads zero
+    (((1,), (-1, 2), (-2,)), (0.5, 0.5)),  # unsatisfiable: the FALSE constant
+], ids=["corner", "unsat"])
+def test_exact_zero_counts_do_not_warn(clauses, p):
+    lc = layerize(compile_cnf(CNF(2, clauses)))
+    batch = LeafBatch.from_probabilities(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in ("probability", "log"):
+            assert evaluate(lc, batch, s)[0] == (0.0 if s == "probability" else -np.inf)
+            backward(lc, batch, s)
+        assert evaluate(lc, LeafBatch.from_probabilities(np.round(p)), "boolean")[0] == 0.0
 
 
 @LAYOUT_BATCHES
@@ -450,3 +485,57 @@ def test_gradients_skip_auxiliaries():
                                                        aux_vars={3}))[0]
         fd[j] = (up - dn) / (2 * h)
     assert g[0] == pytest.approx(fd, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Layer loop costs that outputs do not show
+
+
+@given(st.sampled_from([np.add, np.multiply, np.logaddexp]),
+       st.tuples(st.integers(1, 20), st.integers(1, 3), st.integers(1, 3)),
+       st.integers(0, 2 ** 32 - 1))
+def test_reduce_from_first_operand_keeps_every_bit(op, shape, seed):
+    """Starting from x[0] instead of the identity drops one exact step,
+    except where numpy sums one output pairwise; there ``_reduce`` keeps
+    the identity, so every shape matches the default bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    x = np.where(rng.random(shape) < 0.2, 0.0, x)
+    if op is np.logaddexp:
+        x = np.log(x, where=x > 0.0, out=np.full(shape, -np.inf))
+    want = op.reduce(x, axis=0)
+    assert np.array_equal(_reduce(op, x).view(np.uint64), want.view(np.uint64))
+    out = np.empty(shape[1:])
+    _reduce(op, x, out)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def test_layer_loops_skip_reduction_identities_and_buffered_takes():
+    """Every ``.reduce`` in ``layered.py`` is called with an ``initial=``
+    that can start from the first operand (``None``, on every call or on
+    one branch), and every ``np.take`` into ``out=`` names its ``mode=``.
+
+    Neither shows in an output, only in timings: an identity start costs
+    one more ``op`` per output element, which under log is a
+    ``logaddexp(-inf, x)``, and ``np.take(..., out=...)`` in the default
+    ``mode="raise"`` copies through a temporary buffer.
+    """
+    tree = ast.parse(Path(layered.__file__).read_text(encoding="utf-8"))
+    checked, slow = set(), []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+            continue
+        kw = {k.arg: k.value for k in call.keywords}
+        if call.func.attr == "reduce":
+            checked.add(id(call.func))
+            initial = kw.get("initial")
+            if initial is None or not any(isinstance(n, ast.Constant) and n.value is None
+                                          for n in ast.walk(initial)):
+                slow.append(f"layered.py:{call.lineno} reduce without initial=None")
+        elif call.func.attr == "take" and "out" in kw and "mode" not in kw:
+            slow.append(f"layered.py:{call.lineno} buffered np.take")
+    # a ``reduce`` bound to a name and called later escapes the keyword check
+    slow += [f"layered.py:{node.lineno} reduce not called in place"
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "reduce" and id(node) not in checked]
+    assert slow == []
