@@ -5,21 +5,28 @@ operations directly with the same inputs and seed. Results go to stdout
 at 12 significant digits, diagnostics to stderr as a single line with a
 machine-parsable prefix: ``error[usage]:`` (exit 1), ``error[format]:``
 (exit 2), or ``error[semantic]:`` (exit 3).
+
+Every input file goes through ``_load``: a file that cannot be read, is
+not UTF-8, or does not parse exits 2 with a message naming it. The one
+output file, ``compile --out``, exits 2 with ``cannot write`` when it
+cannot be written. Any other library error exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compiler import Circuit, check_properties, compile_cnf, load_circuit, save_circuit
+from .compiler import check_properties, compile_cnf, load_circuit, save_circuit
 from .compose import load_manifest
-from .errors import (CarrierError, CircuitError, CompositionError, DimacsError,
-                     FormulaError, StructureError)
+from .errors import (CircuitError, CompositionError, DimacsError, FormulaError,
+                     NesycircError, StructureError)
 from .formula import make_name_table, parse_dimacs, parse_formula, to_cnf, to_nnf
 from .layered import LeafBatch, backward, evaluate, layer_summary, layerize
 from .semantics import evaluate_fuzzy, fuzzy_value_and_grad, get_structure
@@ -106,30 +113,21 @@ def _build_parser() -> _Parser:
 # Input loading
 
 
-def _read_text(path) -> str:
+def _load(path, load, *errors):
+    """``load(path)``, with every failure to read or parse the file an
+    ``error[format]`` that names it once.
+
+    ``errors`` are the loader's own exception types; a message that
+    already starts with the path (as ``read_weight_rows`` writes them)
+    is not prefixed again.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return load(path)
     except OSError as exc:
         raise _FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _load_circuit_file(path) -> Circuit:
-    try:
-        return load_circuit(path)
-    except OSError as exc:
-        raise _FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except CircuitError as exc:
-        raise _FormatError(f"{path}: {exc}") from None
-
-
-def _load_weights(path) -> tuple[list[str], np.ndarray]:
-    try:
-        return read_weight_rows(path)
-    except OSError as exc:
-        raise _FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise _FormatError(str(exc)) from None
+    except (UnicodeDecodeError, *errors) as exc:
+        msg = str(exc)
+        raise _FormatError(msg if msg.startswith(str(path)) else f"{path}: {msg}") from None
 
 
 def _formula_from_args(args):
@@ -151,7 +149,7 @@ def _inputs(args, s):
     are; a circuit-safe one gets the layered ``--circuit`` (``layerize``
     refuses a non-smooth file) and the rows as a probability batch.
     """
-    _, rows = _load_weights(args.weights)
+    _, rows = _load(args.weights, read_weight_rows, ValueError, csv.Error)
     if not s.circuit_safe:
         if args.circuit:
             raise StructureError("fuzzy semantics require formula input")
@@ -162,7 +160,7 @@ def _inputs(args, s):
         return to_nnf(f), rows
     if not args.circuit:
         raise _UsageError(f"semantics {s.name!r} evaluates circuits; pass --circuit")
-    lc = layerize(_load_circuit_file(args.circuit))
+    lc = layerize(_load(args.circuit, load_circuit, CircuitError))
     if rows.shape[1] != lc.n_inputs:
         raise _FormatError(f"{args.weights}: {rows.shape[1]} weight columns for a circuit "
                            f"with {lc.n_inputs} input variables")
@@ -177,16 +175,17 @@ def _cmd_compile(args) -> int:
     if bool(args.dimacs) == bool(args.formula):
         raise _UsageError("exactly one of --dimacs or --formula is required")
     if args.dimacs:
-        try:
-            cnf = parse_dimacs(_read_text(args.dimacs))
-        except DimacsError as exc:
-            raise _FormatError(f"{args.dimacs}: {exc}") from None
+        cnf = _load(args.dimacs, lambda p: parse_dimacs(Path(p).read_text("utf-8")),
+                    DimacsError)
     else:
         f, _ = _formula_from_args(args)
         cnf = to_cnf(to_nnf(f))
     circuit = compile_cnf(cnf)
     lc = layerize(circuit)
-    save_circuit(circuit, args.out, comments=layer_summary(lc).splitlines())
+    try:
+        save_circuit(circuit, args.out, comments=layer_summary(lc).splitlines())
+    except OSError as exc:
+        raise _FormatError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(f"nodes {len(circuit.nodes)} layers {len(lc.layers)}")
     return 0
 
@@ -222,7 +221,7 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    c = _load_circuit_file(args.circuit)
+    c = _load(args.circuit, load_circuit, CircuitError)
     report = check_properties(c)
     failed = []
     for prop in ("decomposable", "deterministic", "smooth"):
@@ -251,12 +250,7 @@ _RECORD_STYLES = {
 
 
 def _cmd_inspect(args) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-    except OSError as exc:
-        raise _FormatError(f"cannot read {args.manifest}: {exc.strerror or exc}") from None
-    except CompositionError as exc:
-        raise _FormatError(str(exc)) from None
+    manifest = _load(args.manifest, load_manifest, CompositionError)
     print(f"manifest {manifest.name}")
     for record in manifest.records:
         style = _RECORD_STYLES.get(record[0])
@@ -302,7 +296,7 @@ def main(argv=None) -> int:
     except _FormatError as exc:
         print(f"error[format]: {exc}", file=sys.stderr)
         return 2
-    except (StructureError, CarrierError, CompositionError, CircuitError, ValueError) as exc:
+    except (NesycircError, ValueError) as exc:
         print(f"error[semantic]: {exc}", file=sys.stderr)
         return 3
 

@@ -74,7 +74,8 @@ class CircuitNode:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable node table with a designated root.
+    """An immutable node table with a designated root. Children come
+    before their parents, and every AND and OR has at least one.
 
     ``var_masks`` caches the set of variables below each node as a bitmask
     (bit v-1 for variable v); it is derived from the nodes and excluded from
@@ -103,6 +104,8 @@ class Circuit:
             if node.kind == "LIT":
                 if node.literal == 0 or abs(node.literal) > self.num_vars:
                     raise CircuitError(f"node {i}: literal {node.literal} out of range")
+            elif node.kind in ("AND", "OR") and not node.children:
+                raise CircuitError(f"node {i}: {node.kind} without children")
             for c in node.children:
                 if not 0 <= c < i:
                     raise CircuitError(f"node {i}: child {c} not topologically earlier")

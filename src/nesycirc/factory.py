@@ -342,10 +342,10 @@ def load_factory_config(path) -> ModuleFactory:
 
     Sections: ``[structures]`` with ``tags = tag, tag, ...`` (built-in tags,
     validated); ``[aggregators]`` with ``name = kind, p`` entries where kind
-    is exists or forall; ``[predicates]`` with ``names = eq`` (built-ins by
-    name). All sections are optional.
+    is exists or forall and p a finite number > 0; ``[predicates]`` with
+    ``names = eq`` (built-ins by name). All sections are optional.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -363,7 +363,14 @@ def load_factory_config(path) -> ModuleFactory:
             if len(parts) != 2 or parts[0] not in ("exists", "forall"):
                 raise CompositionError(
                     f"aggregator {name!r} must be 'exists, <p>' or 'forall, <p>', got {raw!r}")
-            kind, p = parts[0], float(parts[1])
+            kind = parts[0]
+            try:
+                p = float(parts[1])
+            except ValueError:
+                p = np.nan
+            if not 0 < p < np.inf:
+                raise CompositionError(
+                    f"aggregator {name!r} needs a finite p > 0, got {parts[1]!r}")
             base = builtin_aggregators(p)[kind]
             aggregators[name] = Aggregator(name, base.op, (("p", p),))
 

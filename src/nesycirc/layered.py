@@ -97,7 +97,7 @@ from itertools import chain
 import numpy as np
 
 from .compiler import Circuit, check_properties
-from .errors import CircuitError, StructureError
+from .errors import StructureError
 from .semantics import Carrier, Semiring, get_structure
 
 __all__ = [
@@ -167,8 +167,6 @@ def layerize(c: Circuit) -> LayeredCircuit:
     for i, node in enumerate(nodes):
         kind = node.kind
         if kind in ("AND", "OR"):
-            if not node.children:
-                raise CircuitError(f"node {i}: {kind} without children")
             depth[i] = 1 + max(depth[ch] for ch in node.children)
             rank[i] = 1 if kind == "AND" else 2
             key[i] = len(node.children)

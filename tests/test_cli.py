@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: outputs, formats, and the exit-code contract."""
 
+import ast
+import builtins
+import contextlib
+import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from nesycirc import cli
 from nesycirc.cli import main
@@ -360,16 +366,19 @@ def test_deep_and_chain_circuit(tmp_path, capsys):
 # inspect
 
 
-def test_inspect_pretty_prints(tmp_path, capsys):
+def _save_demo_manifest(path):
     from nesycirc.compose import SymTensor, save_manifest, wire_dag
     from nesycirc.compose import AnnotatedModule
     a = AnnotatedModule("a_sq", (SymTensor(("x",)),), (SymTensor(("a",)),),
                         lambda x: x * x)
     b = AnnotatedModule("join", (SymTensor(("a",)),),
                         (SymTensor(("o",), "log"),), lambda v: np.log(v))
-    d = wire_dag([a, b], [SymTensor(("x",))], name="demo")
+    save_manifest(wire_dag([a, b], [SymTensor(("x",))], name="demo"), path)
+
+
+def test_inspect_pretty_prints(tmp_path, capsys):
     path = tmp_path / "demo.manifest"
-    save_manifest(d, path)
+    _save_demo_manifest(path)
     assert main(["inspect", "--manifest", str(path)]) == 0
     lines = _lines(capsys)
     assert lines[0] == "manifest demo"
@@ -384,6 +393,141 @@ def test_inspect_bad_manifest(tmp_path, capsys):
     path.write_text("hello\n")
     assert main(["inspect", "--manifest", str(path)]) == 2
     assert "missing 'manifest 1' header" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Unreadable, malformed and unwritable files
+
+
+CHILDLESS = "nnfc 1\nnvars 3\naux\nnnodes 1\nroot 0\nnode 0 AND\n"
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "grad", "loss"])
+def test_childless_and_fails_at_load(command, tmp_path, weights_file, capsys):
+    bad = tmp_path / "bad.nnfc"
+    bad.write_text(CHILDLESS)
+    argv = [command, "--circuit", str(bad)]
+    assert main(argv if command == "check" else argv + ["--weights", weights_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[format]: {bad}: node 0: AND without children\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["compile", "--dimacs", "{bad}", "--out", "{tmp}/c.nnfc"],
+    ["check", "--circuit", "{bad}"],
+    ["eval", "--circuit", "{circuit}", "--weights", "{bad}"],
+    ["inspect", "--manifest", "{bad}"],
+], ids=["dimacs", "circuit", "weights", "manifest"])
+def test_non_utf8_input_is_malformed(command, circuit_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    assert main([a.format(bad=bad, tmp=tmp_path, circuit=circuit_file) for a in command]) == 2
+    assert capsys.readouterr().err == (
+        f"error[format]: {bad}: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+        "invalid continuation byte\n")
+
+
+def test_weight_field_past_the_csv_limit_is_malformed(circuit_file, tmp_path, capsys):
+    w = tmp_path / "w.csv"
+    w.write_text("A,B,C\n" + "1" * 200_000 + ",0,0\n")
+    assert main(["eval", "--circuit", circuit_file, "--weights", str(w)]) == 2
+    assert capsys.readouterr().err == \
+        f"error[format]: {w}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("out", ["", "missing/c.nnfc"], ids=["directory", "missing-folder"])
+def test_compile_to_unwritable_path(out, dimacs_file, tmp_path, capsys):
+    dst = tmp_path / out
+    assert main(["compile", "--dimacs", dimacs_file, "--out", str(dst)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[format]: cannot write {dst}: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One valid file of each kind the CLI reads."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "ex1.cnf").write_text(EX1)
+    assert main(["compile", "--dimacs", str(d / "ex1.cnf"), "--out", str(d / "ex1.nnfc")]) == 0
+    (d / "w.csv").write_text("A,B,C\n0.5,0.5,0.5\n0.9,0.2,0.1\n")
+    _save_demo_manifest(d / "demo.manifest")
+    return d
+
+
+# each kind's valid file, and the commands that read a mutated copy of it
+FUZZ_RUNS = {
+    "ex1.cnf": [["compile", "--dimacs", "{mutated}", "--out", "{dir}/out.nnfc"]],
+    "ex1.nnfc": [["check", "--circuit", "{mutated}"],
+                 ["eval", "--circuit", "{mutated}", "--weights", "{dir}/w.csv"]],
+    "w.csv": [["grad", "--circuit", "{dir}/ex1.nnfc", "--weights", "{mutated}"]],
+    "demo.manifest": [["inspect", "--manifest", "{mutated}"]],
+}
+
+
+def _mutate(data, text):
+    """Byte edits (non-UTF-8 bytes included), a truncation, or a line shuffle."""
+    how = data.draw(st.sampled_from(["bytes", "truncate", "shuffle"]))
+    if how == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if how == "shuffle":
+        return b"\n".join(data.draw(st.permutations(text.split(b"\n"))))
+    out = bytearray(text)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(out) - 1))
+        out[at] = data.draw(st.sampled_from(b"0123456789 -\n\x80\xe9\xff") | st.integers(0, 255))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_RUNS))
+@seed(1616)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_mutated_files_fail_closed(name, fuzz_dir, data):
+    """``main`` never raises on a mutated input file: it exits 0, 2 or 3
+    with at most one diagnostic line, and a file that is not UTF-8 is
+    malformed, named once in the message."""
+    text = _mutate(data, (fuzz_dir / name).read_bytes())
+    path = fuzz_dir / f"mutated-{name}"
+    path.write_bytes(text)
+    try:
+        text.decode("utf-8")
+        utf8 = True
+    except UnicodeDecodeError:
+        utf8 = False
+    for argv in FUZZ_RUNS[name]:
+        argv = [a.format(mutated=path, dir=fuzz_dir) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3)
+        assert err.count("\n") == (code != 0)
+        assert err.startswith({0: "", 2: "error[format]: ", 3: "error[semantic]: "}[code])
+        assert err.count(str(path)) <= 1
+        if not utf8:
+            assert code == 2 and err.count(str(path)) == 1
+
+
+def test_cli_maps_os_errors_in_one_loader_and_one_writer():
+    """Only ``_load`` (reading) and ``_cmd_compile`` (writing ``--out``)
+    may catch ``OSError``, under any of its names or bases."""
+    catches_os = {name for name, v in vars(builtins).items()
+                  if isinstance(v, type) and issubclass(v, BaseException)
+                  and (issubclass(v, OSError) or issubclass(OSError, v))}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first: outer functions claim their nodes first
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)
+    handlers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            names = ({n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                     if node.type else {"BaseException"})
+            if names & catches_os:
+                handlers.append(owner.get(id(node), "<module>"))
+    assert sorted(handlers) == ["_cmd_compile", "_load"]
 
 
 # ---------------------------------------------------------------------------

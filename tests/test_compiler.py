@@ -249,6 +249,12 @@ def test_circuit_validates_child_order():
         Circuit(1, (CircuitNode("AND", children=(1,)), _lit(1)), root=0)
 
 
+@pytest.mark.parametrize("kind", ["AND", "OR"])
+def test_circuit_rejects_childless_gates(kind):
+    with pytest.raises(CircuitError, match=f"^node 1: {kind} without children$"):
+        Circuit(1, (_lit(1), CircuitNode(kind)), root=1)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -354,6 +354,13 @@ def test_load_factory_config(tmp_path):
     ("[structures]\ntags = zadeh\n", StructureError, "unknown structure"),
     ("[aggregators]\nsome = mean, 2\n", CompositionError, "must be 'exists, <p>'"),
     ("[aggregators]\nsome = exists\n", CompositionError, "must be 'exists, <p>'"),
+    ("[aggregators]\nsome = exists, 0\n", CompositionError, "'some' needs a finite p > 0"),
+    ("[aggregators]\nsome = exists, nan\n", CompositionError, "'some' needs a finite p > 0"),
+    ("[aggregators]\nevery = forall, -2\n", CompositionError, "'every' needs a finite p > 0"),
+    ("[aggregators]\nsome = exists, x\n", CompositionError, "'some' needs a finite p > 0"),
+    ("[aggregators]\nevery = forall, inf\n", CompositionError, "'every' needs a finite p > 0"),
+    ("[aggregators]\nsome = exists, 2%\n", CompositionError, "'some' needs a finite p > 0"),
+    ("[structures]\ntags = %(x)s\n", StructureError, "unknown structure"),
     ("[predicates]\nnames = lt\n", CompositionError, "unknown built-in predicate"),
     ("tags = oops\n", CompositionError, "bad factory config"),
 ])

@@ -7,17 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nesycirc import layered
 from nesycirc.compiler import circuit_from_text, compile_cnf, smooth
 from nesycirc.errors import CarrierError, CircuitError, StructureError
-from nesycirc.formula import CNF, brute_force_wmc, eval_assignment, parse_dimacs
+from nesycirc.formula import (CNF, brute_force_wmc, eval_assignment, parse_dimacs, to_cnf,
+                              to_nnf)
 from nesycirc.layered import (BUCKETED_FROM, LeafBatch, _reduce, backward, evaluate,
                               evaluate_recursive, layer_summary, layerize)
 
 from test_compiler import UNSMOOTH
-from test_formula import EX1, cnfs
+from test_formula import EX1, cnfs, formulas
 
 
 @pytest.fixture()
@@ -485,6 +486,58 @@ def test_gradients_skip_auxiliaries():
                                                        aux_vars={3}))[0]
         fd[j] = (up - dn) / (2 * h)
     assert g[0] == pytest.approx(fd, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks past the reach of cnfs()
+
+
+@st.composite
+def wide_cnfs(draw):
+    """Shapes that ``cnfs()`` (6 variables, clauses of 4) never draws:
+    implication chains of up to 40 variables, one clause of up to 14
+    literals, Tseitin encodings (with auxiliaries) of formulas with ``->``
+    and ``<->``, and unsatisfiable or empty CNFs."""
+    shape = draw(st.sampled_from(["chain", "clause", "tseitin", "unsat", "empty"]))
+    if shape == "chain":
+        n = draw(st.integers(2, 40))
+        units = draw(st.sampled_from([(), ((1,),), ((-n,),)]))
+        return CNF(n, tuple((-v, v + 1) for v in range(1, n)) + units)
+    if shape == "clause":
+        n = draw(st.integers(1, 14))
+        signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return CNF(n, (tuple(v if s else -v for v, s in enumerate(signs, 1)),))
+    if shape == "tseitin":
+        return to_cnf(to_nnf(draw(formulas(max_vars=6, max_depth=5))))
+    n = draw(st.integers(1, 6))
+    if shape == "empty":
+        return CNF(n, ())
+    v = draw(st.integers(1, n))
+    return draw(st.sampled_from([CNF(n, ((v,), (-v,))), CNF(n, (), unsat=True)]))
+
+
+@pytest.mark.parametrize("b", [1, 5, 20])
+@settings(max_examples=40)
+@given(wide_cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_wide_cnfs_agree_with_every_oracle(b, cnf, seed):
+    c = compile_cnf(cnf)
+    lc = layerize(c)
+    rows = _corner_rows(np.random.default_rng(seed), b, cnf.n_inputs)
+    batch = LeafBatch.from_probabilities(rows, num_vars=cnf.num_vars, aux_vars=cnf.aux_vars)
+    wmc, log_wmc = evaluate(lc, batch), evaluate(lc, batch, "log")
+    for s, got in (("probability", wmc), ("log", log_wmc)):
+        want = evaluate_recursive(c, batch, s)
+        mask = np.isfinite(got) | np.isfinite(want)
+        assert np.allclose(got[mask], want[mask], atol=1e-12, rtol=0.0)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    if cnf.n_inputs <= 14:
+        for row, g in zip(rows, wmc):
+            want = brute_force_wmc(cnf, row)
+            assert g == want if want == 0.0 else abs(g - want) / want <= 1e-9
+    assert np.allclose(wmc, np.exp(log_wmc), rtol=1e-10, atol=0.0)
+    live = wmc > 0.0
+    grad, log_grad = backward(lc, batch), backward(lc, batch, "log")
+    assert np.allclose(log_grad[live], grad[live] / wmc[live, None], rtol=1e-8, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
