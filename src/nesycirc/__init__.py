@@ -23,7 +23,7 @@ from .errors import (CarrierError, CircuitError, CompositionError, DimacsError,
 from .factory import (Aggregator, CircuitBackend, EqualityPredicate,
                       ModuleFactory, Predicate, builtin_aggregators,
                       load_factory_config, p_mean)
-from .formula import (CNF, Variable, brute_force_models, brute_force_wmc,
+from .formula import (CNF, brute_force_models, brute_force_wmc,
                       cnf_to_formula, eval_assignment, formula_names,
                       formula_vars, is_nnf, make_name_table, parse_dimacs,
                       parse_formula, serialize_dimacs, to_cnf, to_nnf)
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # formula
-    "CNF", "Variable", "parse_dimacs", "serialize_dimacs", "parse_formula",
+    "CNF", "parse_dimacs", "serialize_dimacs", "parse_formula",
     "make_name_table", "to_nnf", "is_nnf", "to_cnf", "cnf_to_formula",
     "formula_vars", "formula_names", "eval_assignment", "brute_force_wmc",
     "brute_force_models",

@@ -351,6 +351,8 @@ def load_factory_config(path) -> ModuleFactory:
             cp.read_file(fh)
     except configparser.Error as exc:
         raise CompositionError(f"bad factory config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CompositionError(f"bad factory config {path}: {exc}") from None
 
     if cp.has_option("structures", "tags"):
         for tag in _csv(cp.get("structures", "tags")):

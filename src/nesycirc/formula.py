@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DimacsError, FormulaError
 
 __all__ = [
-    "Variable", "CNF", "Formula", "Var", "Not", "And", "Or", "Implies", "Iff",
+    "CNF", "Formula", "Var", "Not", "And", "Or", "Implies", "Iff",
     "TrueF", "FalseF", "TRUE", "FALSE", "parse_dimacs", "serialize_dimacs",
     "make_name_table", "parse_formula", "to_nnf", "is_nnf", "to_cnf",
     "cnf_to_formula", "formula_vars", "eval_assignment", "brute_force_wmc",
@@ -43,18 +43,6 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 26
-
-
-@dataclass(frozen=True)
-class Variable:
-    """A propositional variable: a dense 1-based id plus an optional name."""
-
-    id: int
-    name: str | None = None
-
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"variable ids are 1-based, got {self.id}")
 
 
 @dataclass(frozen=True)
@@ -229,15 +217,28 @@ def serialize_dimacs(cnf: CNF) -> str:
 
 
 class Formula:
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes.
+
+    Nodes are frozen dataclasses, so ``==``, ``hash`` and ``repr`` recurse
+    the formula as a tree: ``hash`` of a 3000-deep ``And`` chain raises
+    ``RecursionError``, and on the NNF of nested ``<->``, a DAG, they take
+    time exponential in the nesting. The formula passes here walk the DAG
+    by identity instead (:func:`_walk`).
+    """
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Var(Formula):
+    """A propositional variable: a dense 1-based id plus an optional name."""
+
     id: int
     name: str | None = None
+
+    def __post_init__(self):
+        if self.id < 1:
+            raise ValueError(f"variable ids are 1-based, got {self.id}")
 
     def __str__(self):
         return self.name or f"v{self.id}"
@@ -288,13 +289,14 @@ FALSE = FalseF()
 _BINARY = (And, Or, Implies, Iff)
 
 
-def make_name_table(names: Sequence[str]) -> dict[str, Variable]:
-    """Build a name table assigning dense ids in the order given."""
-    table: dict[str, Variable] = {}
+def make_name_table(names: Sequence[str]) -> dict[str, Var]:
+    """Build a name table mapping each name to one shared :class:`Var` leaf,
+    with dense ids in the order given."""
+    table: dict[str, Var] = {}
     for i, name in enumerate(names, start=1):
         if name in table:
             raise FormulaError(f"duplicate variable name {name!r}")
-        table[name] = Variable(i, name)
+        table[name] = Var(i, name)
     return table
 
 
@@ -311,7 +313,7 @@ _WS_RE = re.compile(r"\s*")
 
 
 class _Parser:
-    def __init__(self, text: str, table: Mapping[str, Variable]):
+    def __init__(self, text: str, table: Mapping[str, Var]):
         self.text = text
         self.table = table
         self.pos = 0
@@ -393,11 +395,11 @@ class _Parser:
             self._advance()
             return FALSE
         if tok[0].isalpha() or tok[0] == "_":
-            var = self.table.get(tok)
-            if var is None:
+            leaf = self.table.get(tok)
+            if leaf is None:
                 raise FormulaError(f"unknown identifier {tok!r}", pos)
             self._advance()
-            return Var(var.id, var.name or tok)
+            return leaf if leaf.name else Var(leaf.id, tok)
         raise FormulaError(f"unexpected token {tok!r}", pos)
 
 
@@ -406,8 +408,14 @@ def _reduce(operands: list[Formula], node: type) -> None:
     operands.append(node(operands.pop(), right))
 
 
-def parse_formula(text: str, name_table: Mapping[str, Variable]) -> Formula:
-    """Parse formula text against a pre-declared name table."""
+def parse_formula(text: str, name_table: Mapping[str, Var]) -> Formula:
+    """Parse formula text against a pre-declared name table.
+
+    The table maps names to :class:`Var` leaves, as :func:`make_name_table`
+    builds it, and every occurrence of a name is that one shared leaf, so
+    the formula's walk lists each variable once. An entry without a name
+    gives a new leaf named after its token at each occurrence.
+    """
     return _Parser(text, name_table).parse()
 
 
@@ -634,8 +642,13 @@ def cnf_to_formula(cnf: CNF) -> Formula:
     if not cnf.clauses:
         return TRUE
 
+    leaves: dict[int, Formula] = {}  # one Var and one Not per variable that occurs
+
     def lit_node(lit: int) -> Formula:
-        return Var(lit) if lit > 0 else Not(Var(-lit))
+        node = leaves.get(lit)
+        if node is None:
+            node = leaves[lit] = Var(lit) if lit > 0 else Not(lit_node(-lit))
+        return node
 
     def clause_node(clause: tuple[int, ...]) -> Formula:
         node = lit_node(clause[0])
@@ -675,7 +688,7 @@ def eval_assignment(f: CNF | Formula, assignment) -> bool:
             if v not in a and v not in f.aux_vars:
                 raise ValueError(f"missing assignment for variable {v}")
         residual = _residual(f.clauses, a)
-        return residual is not None and _mini_sat(residual)
+        return residual is not None and _count_extensions(residual, len(f.aux_vars)) > 0
     return _eval_formula(f, a)
 
 
@@ -727,25 +740,6 @@ def _eval_formula(f: Formula, a: dict[int, bool]) -> bool:
             raise FormulaError(f"unknown formula node {type(node).__name__}")
         values.append(value)
     return values[-1]
-
-
-def _mini_sat(clauses: list[tuple[int, ...]]) -> bool:
-    """Tiny DPLL satisfiability check for small residual clause sets."""
-    while True:
-        if not clauses:
-            return True
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        clauses = _assign(clauses, unit)
-        if clauses is None:
-            return False
-    lit = clauses[0][0]
-    for branch in (lit, -lit):
-        reduced = _assign(clauses, branch)
-        if reduced is not None and _mini_sat(reduced):
-            return True
-    return False
 
 
 def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]] | None:

@@ -187,47 +187,44 @@ class Structure:
         return self.semiring is not None
 
 
-def _f(x):
-    return np.asarray(x, dtype=np.float64)
-
-
+# The built-in connectives take float arrays, as _fuzzy_forward and the
+# factory's connective nodes pass them, and use a ufunc wherever one is the
+# connective.
 _PRODUCT = FuzzyConnectives(
-    neg=lambda x: 1.0 - _f(x),
-    conj=lambda x, y: _f(x) * _f(y),
-    disj=lambda x, y: _f(x) + _f(y) - _f(x) * _f(y),
-    neg_grad=lambda x: -np.ones_like(_f(x)),
-    conj_grad=lambda x, y: (_f(y), _f(x)),
-    disj_grad=lambda x, y: (1.0 - _f(y), 1.0 - _f(x)),
+    neg=lambda x: 1.0 - x,
+    conj=np.multiply,
+    disj=lambda x, y: x + y - x * y,
+    neg_grad=lambda x: -np.ones_like(x),
+    conj_grad=lambda x, y: (y, x),
+    disj_grad=lambda x, y: (1.0 - y, 1.0 - x),
 )
 
 _GODEL = FuzzyConnectives(
-    neg=lambda x: 1.0 - _f(x),
-    conj=lambda x, y: np.minimum(_f(x), _f(y)),
-    disj=lambda x, y: np.maximum(_f(x), _f(y)),
-    neg_grad=lambda x: -np.ones_like(_f(x)),
-    conj_grad=lambda x, y: ((_f(x) <= _f(y)).astype(np.float64),
-                            (_f(x) > _f(y)).astype(np.float64)),
-    disj_grad=lambda x, y: ((_f(x) >= _f(y)).astype(np.float64),
-                            (_f(x) < _f(y)).astype(np.float64)),
+    neg=lambda x: 1.0 - x,
+    conj=np.minimum,
+    disj=np.maximum,
+    neg_grad=lambda x: -np.ones_like(x),
+    conj_grad=lambda x, y: ((x <= y).astype(np.float64), (x > y).astype(np.float64)),
+    disj_grad=lambda x, y: ((x >= y).astype(np.float64), (x < y).astype(np.float64)),
 )
 
 def _luk_conj_grad(x, y):
     # max(0, t): at the tie t == 0 the first argument (the constant) wins,
     # so the subgradient is zero there; dually for disj's min(1, t).
-    active = (_f(x) + _f(y) - 1.0 > 0.0).astype(np.float64)
+    active = (x + y - 1.0 > 0.0).astype(np.float64)
     return active, active
 
 
 def _luk_disj_grad(x, y):
-    active = (_f(x) + _f(y) < 1.0).astype(np.float64)
+    active = (x + y < 1.0).astype(np.float64)
     return active, active
 
 
 _LUKASIEWICZ = FuzzyConnectives(
-    neg=lambda x: 1.0 - _f(x),
-    conj=lambda x, y: np.maximum(0.0, _f(x) + _f(y) - 1.0),
-    disj=lambda x, y: np.minimum(1.0, _f(x) + _f(y)),
-    neg_grad=lambda x: -np.ones_like(_f(x)),
+    neg=lambda x: 1.0 - x,
+    conj=lambda x, y: np.maximum(0.0, x + y - 1.0),
+    disj=lambda x, y: np.minimum(1.0, x + y),
+    neg_grad=lambda x: -np.ones_like(x),
     conj_grad=_luk_conj_grad,
     disj_grad=_luk_disj_grad,
 )

@@ -4,14 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from nesycirc.errors import (CompositionError, IncompatibleStructures,
-                             StructureError)
+                             NesycircError, StructureError)
 from nesycirc.factory import (Aggregator, CircuitBackend, EqualityPredicate,
                               ModuleFactory, Predicate, builtin_aggregators,
                               load_factory_config, p_mean)
 from nesycirc.formula import make_name_table, parse_formula
 from nesycirc.semantics import Structure, get_structure
+
+from test_cli import _mutate
 
 EXISTS_HALF = 0.5 ** (1.0 / 6.0)  # p-mean of [1, 0] at the default p = 6
 
@@ -338,12 +341,14 @@ def test_resolve_structure(pf):
         pf.resolve_structure("zadeh")
 
 
+CONFIG = ("[structures]\ntags = probability, fuzzy_godel\n"
+          "[aggregators]\nsome = exists, 2\nevery = forall, 4\n"
+          "[predicates]\nnames = eq\n")
+
+
 def test_load_factory_config(tmp_path):
     path = tmp_path / "factory.ini"
-    path.write_text(
-        "[structures]\ntags = probability, fuzzy_godel\n"
-        "[aggregators]\nsome = exists, 2\nevery = forall, 4\n"
-        "[predicates]\nnames = eq\n")
+    path.write_text(CONFIG)
     f = load_factory_config(path)
     assert f.aggregate("some", [1.0, 0.0]) == pytest.approx(0.5 ** 0.5)
     assert f.aggregators["every"].params == (("p", 4.0),)
@@ -369,3 +374,23 @@ def test_load_factory_config_errors(tmp_path, text, exc, match):
     path.write_text(text)
     with pytest.raises(exc, match=match):
         load_factory_config(path)
+
+
+def test_load_factory_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "factory.ini"
+    path.write_bytes(b"[structures]\ntags = prob\xe9\n")
+    with pytest.raises(CompositionError, match=f"bad factory config {path}: .*utf-8"):
+        load_factory_config(path)
+
+
+@seed(1717)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_factory_configs_fail_closed(tmp_path_factory, data):
+    """A mutated config either loads or raises a NesycircError."""
+    path = tmp_path_factory.mktemp("config") / "factory.ini"
+    path.write_bytes(_mutate(data, CONFIG.encode()))
+    try:
+        load_factory_config(path)
+    except NesycircError:
+        pass

@@ -183,6 +183,30 @@ def test_make_name_table_rejects_duplicates():
         make_name_table(["x", "x"])
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_var_ids_are_one_based(bad):
+    # a leaf of id 0 or -1 would read a score column from the end
+    with pytest.raises(ValueError, match="1-based"):
+        Var(bad)
+
+
+def test_parsed_formulas_share_their_leaves():
+    f = parse_formula("a & (b | a)", make_name_table(["a", "b"]))
+    assert f.left is f.right.right
+    assert len(_walk(f)[0]) == 4
+    table = {"x": Var(1), "y": Var(2, "y")}  # an unnamed entry is named after its token
+    g = parse_formula("x | y", table)
+    assert g.left == Var(1, "x") and g.right is table["y"]
+
+
+def test_cnf_to_formula_shares_its_literals():
+    f = cnf_to_formula(CNF(2, ((1, -2), (-2, 1), (-1,))))
+    (c1, c2), c3 = (f.left.left, f.left.right), f.right
+    assert c1.left is c2.right and c1.right is c2.left
+    assert c3.child is c1.left
+    assert len(_walk(f)[0]) == 8  # two each of Var, Not, Or and And
+
+
 def test_formula_names_and_vars():
     f = _parse("(a -> b) & (c -> b)")
     assert formula_vars(f) == [1, 2, 3]
@@ -200,7 +224,7 @@ def test_formula_names_and_vars():
 @st.composite
 def formulas(draw, max_vars=4, max_depth=4):
     n = draw(st.integers(1, max_vars))
-    leaf = st.builds(Var, st.integers(1, n))
+    leaf = st.one_of(st.builds(Var, st.integers(1, n)), st.just(TRUE), st.just(FALSE))
     return draw(st.recursive(
         leaf,
         lambda sub: st.one_of(
@@ -367,6 +391,15 @@ def test_brute_force_wmc_counts_free_auxiliaries():
     # 13 unconstrained auxiliaries: each input model counts 2**13 times
     cnf = CNF(15, ((1, 2),), aux_vars=range(3, 16))
     assert brute_force_wmc(cnf, [0.5, 0.25]) == pytest.approx((1 - 0.5 * 0.75) * 2 ** 13)
+
+
+def test_free_auxiliaries_are_counted_by_branching():
+    """Propagation leaves these auxiliaries free, so the DPLL oracles branch."""
+    cnf = CNF(3, ((1, 2, 3), (-2, -3)), aux_vars={2, 3})
+    assert eval_assignment(cnf, {1: True}) and eval_assignment(cnf, {1: False})
+    wide = CNF(14, (tuple(range(1, 15)),), aux_vars=frozenset(range(2, 15)))
+    assert len(wide.aux_vars) > 12  # counted over the input by _wmc_over_inputs
+    assert brute_force_wmc(wide, [0.3]) == pytest.approx(0.3 * 2 ** 13 + 0.7 * (2 ** 13 - 1))
 
 
 def test_brute_force_wmc_guard():
