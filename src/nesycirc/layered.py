@@ -57,6 +57,25 @@ its largest in-degree with a zero row. The pad slots sit past
 value-and-gradient call: about 24 to 32 rows on the sum-999 addition
 constraint and 8 to 12 on a 400-variable implication chain. At one row
 the merged layout takes about half the time of the per-bucket one.
+``layerize`` builds neither layout; each is built on the first batch that
+runs on it and kept, so compiling a circuit file pays for none.
+
+A large batch runs in column tiles. Every reduction runs along the slot
+axis, so a row's values and gradients do not depend on the rows beside
+it, and each tile runs the loops on a row block of the literal table and
+writes its slice of the values and the gradient. Tile widths come from a
+byte budget for one tile's reverse buffer (``_TILE_BYTES``, 8 MiB):
+``max(BUCKETED_FROM, budget // (8 * n_rows))`` rows at most, with
+``n_rows`` the per-bucket layout's row count, and the batch is split
+into that many tiles of near-equal width, so no tile is a small
+remainder. A batch that fits in one tile runs the loops on the whole
+table with nothing copied. The budget is in bytes because a row count
+bounds nothing on a large circuit: a 4000-variable implication chain has
+65,035 reverse-buffer rows, 520 KB a column, so a 2048-row tile would be
+1 GB. The budget was measured from 6 to 16 MiB: on the sum-999 addition
+constraint at 8192 rows (633 rows, five tiles of 1638) 8 MiB was the
+fastest and kept the 1024-row batch whole; the chain at 1024 rows (64
+tiles of 16) ran within noise of the wider tiles of larger budgets.
 
 Supported structures are the circuit-safe ones: ``probability`` (weighted
 model counting), ``boolean`` (satisfaction indicator on 0/1 weights), and
@@ -84,7 +103,8 @@ root reads the semiring zero while none of its leaf slots does, as a
 smooth d-DNNF without FALSE leaves is satisfiable and so has a nonzero
 true value. Exact zeros (a zero leaf weight, an unsatisfiable formula's
 FALSE constant) never warn, and under log and boolean a zero root always
-has a zero leaf.
+has a zero leaf. A tiled batch warns once, with the rows numbered in the
+whole batch.
 """
 
 from __future__ import annotations
@@ -92,6 +112,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -109,6 +130,8 @@ __all__ = [
 # ones on the merged layout.
 BUCKETED_FROM = 16
 _SCAN_BY_ROW_FROM = 512
+# The byte budget of one column tile's reverse buffer; see the module notes.
+_TILE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +166,11 @@ class LayeredCircuit:
     n_slots: int
     root_slot: int
     layers: tuple[Layer, ...]
-    # merged, then per-bucket; see BUCKETED_FROM
-    layouts: tuple[Layout, Layout]
     # each leaf slot's column in LeafBatch.literals, strictly increasing
     leaf_cols: np.ndarray
+    # every edge's child slot, by parent slot and then place among the
+    # parent's children; the layouts are built from these
+    child_slots: np.ndarray
 
     @property
     def n_inputs(self) -> int:
@@ -156,9 +180,24 @@ class LayeredCircuit:
     def n_leaves(self) -> int:
         return self.layers[0].size
 
+    # the two layouts, each built on first use and kept; see BUCKETED_FROM
+    @cached_property
+    def _merged(self) -> Layout:
+        return _layout(self, merged=True)
+
+    @cached_property
+    def _bucketed(self) -> Layout:
+        return _layout(self, merged=False)
+
+    def _layout_for(self, batch_size: int) -> Layout:
+        return self._bucketed if batch_size >= BUCKETED_FROM else self._merged
+
 
 def layerize(c: Circuit) -> LayeredCircuit:
-    """Stratify a smooth deterministic decomposable circuit into layers."""
+    """Stratify a smooth deterministic decomposable circuit into layers.
+
+    Builds neither layout: each is built on the first batch that runs on it.
+    """
     check_properties(c).require("decomposable", "deterministic", "smooth")
     nodes, nv = c.nodes, c.num_vars
     depth = [0] * len(nodes)
@@ -188,37 +227,33 @@ def layerize(c: Circuit) -> LayeredCircuit:
     bounds = [*_runs(3 * np.asarray(depth)[order] + rank_s).tolist(), n]
     layers = tuple(Layer(("LEAF", "PROD", "SUM")[rank_s[lo]], hi - lo, fan[lo:hi])
                    for lo, hi in zip(bounds, bounds[1:]))
-    layer_of = np.repeat(np.arange(len(layers)), np.diff(bounds))
-
-    # every edge, slot-major: its child slot, parent slot and place among
-    # the parent's children
     n_edges = int(fan.sum())
     first = np.cumsum(fan) - fan
     node_first = np.cumsum(fan_n) - fan_n
     flat = np.fromiter(chain.from_iterable(node.children for node in nodes), np.int64, n_edges)
     kids = slot_of[flat[np.repeat(node_first[order] - first, fan) + np.arange(n_edges)]]
-    parent = np.repeat(np.arange(n), fan)
-    position = np.arange(n_edges) - first[parent]
-    root = int(slot_of[c.root])
-    layouts = tuple(_layout(layers, layer_of, fan, kids, parent, position, root, merged)
-                    for merged in (True, False))
-
     return LayeredCircuit(
-        num_vars=nv, aux_vars=c.aux_vars, n_slots=n, root_slot=root,
-        layers=layers, layouts=layouts, leaf_cols=key_s[:layers[0].size],
+        num_vars=nv, aux_vars=c.aux_vars, n_slots=n, root_slot=int(slot_of[c.root]),
+        layers=layers, leaf_cols=key_s[:layers[0].size], child_slots=kids,
     )
 
 
-def _layout(layers, layer_of, fan, kids, parent, position, root, merged) -> Layout:
+def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     """Bucket and pull tables: one of each per layer, or per fan-in and
     per in-degree.
 
     Slot ``n`` holds the product identity and slot ``n + 1`` the sum
     identity, in the forward and the reverse buffer alike.
     """
-    n, n_leaves = len(fan), layers[0].size
+    layers, n, n_leaves = lc.layers, lc.n_slots, lc.n_leaves
+    root, kids = lc.root_slot, lc.child_slots
     one, zero = n, n + 1
     prod = np.array([layer.kind == "PROD" for layer in layers])
+    fan = np.concatenate([layer.seg_lengths for layer in layers])
+    layer_of = np.repeat(np.arange(len(layers)), [layer.size for layer in layers])
+    # every edge's parent slot and place among the parent's children
+    parent = np.repeat(np.arange(n), fan)
+    position = np.arange(len(kids)) - (np.cumsum(fan) - fan)[parent]
 
     # buckets: runs of non-leaf slots, a whole layer or a run of one fan-in
     key = layer_of[n_leaves:]
@@ -410,13 +445,14 @@ def _reduce(op: np.ufunc, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return op.reduce(x, axis=0, out=out, initial=None if x.size > len(x) else op.identity)
 
 
-def _forward(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
-    buf = np.empty((lc.n_slots + 2, batch.batch_size), dtype=sr.dtype)
+def _forward(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring) -> np.ndarray:
+    """The forward buffer of the rows of a literal table (see LeafBatch)."""
+    buf = np.empty((lc.n_slots + 2, len(literals)), dtype=sr.dtype)
     # np.take along axis 1: on sum-999's 128-column table at 8192 rows it
     # gathers about 4x faster than literals[:, leaf_cols]
-    buf[:lc.n_leaves] = sr.leaf(np.take(batch.literals, lc.leaf_cols, axis=1).T)
-    buf[lc.n_slots:] = sr.leaf(batch.literals[:, -2:].T)  # the pads: TRUE, FALSE
-    layout = lc.layouts[batch.batch_size >= BUCKETED_FROM]
+    buf[:lc.n_leaves] = sr.leaf(np.take(literals, lc.leaf_cols, axis=1).T)
+    buf[lc.n_slots:] = sr.leaf(literals[:, -2:].T)  # the pads: TRUE, FALSE
+    layout = lc._layout_for(len(literals))
     for layer, buckets in zip(lc.layers, layout.buckets):
         op = sr.mul if layer.kind == "PROD" else sr.add
         for start, stop, children, _ in buckets:
@@ -424,36 +460,79 @@ def _forward(lc: LayeredCircuit, batch: LeafBatch, sr: Semiring) -> np.ndarray:
     return buf
 
 
-def _root(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
-    """The root's row of a forward buffer, warning about rows that underflowed.
+def _underflowed(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
+    """The rows of a forward buffer whose value underflowed to zero.
 
     A smooth d-DNNF is satisfiable unless it has a FALSE leaf, so a row
     whose root reads the semiring zero while none of its leaf slots does
     has a nonzero true value that was lost to rounding.
     """
-    root = buf[lc.root_slot]
-    zero = root == sr.zero
-    if zero.any():
-        rows = np.flatnonzero(zero)
-        rows = rows[~(buf[:lc.n_leaves, rows] == sr.zero).any(axis=0)]
-        if rows.size:
-            shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
-            warnings.warn(f"the circuit value underflowed to zero in {rows.size} batch row(s) "
-                          f"({shown}) whose leaf weights are all nonzero; evaluate under "
-                          f"'log_probability' instead", RuntimeWarning, stacklevel=3)
-    return root
+    rows = np.flatnonzero(buf[lc.root_slot] == sr.zero)
+    return rows[~(buf[:lc.n_leaves, rows] == sr.zero).any(axis=0)] if rows.size else rows
+
+
+def _warn_underflow(rows: np.ndarray, stacklevel: int) -> None:
+    """One warning naming ``rows``, if any; ``stacklevel`` counts from the
+    caller, as in ``warnings.warn``."""
+    if rows.size:
+        shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
+        warnings.warn(f"the circuit value underflowed to zero in {rows.size} batch row(s) "
+                      f"({shown}) whose leaf weights are all nonzero; evaluate under "
+                      f"'log_probability' instead", RuntimeWarning, stacklevel=stacklevel + 1)
+
+
+def _tiles(lc: LayeredCircuit, batch_size: int) -> list[slice]:
+    """The fewest balanced column tiles of a batch whose reverse buffers
+    each fit _TILE_BYTES, or are at most BUCKETED_FROM rows wide where
+    fewer rows than that fit; one tile for a small batch."""
+    if batch_size <= BUCKETED_FROM:
+        return [slice(0, batch_size)]
+    rows = max(BUCKETED_FROM, _TILE_BYTES // (8 * lc._bucketed.n_rows))
+    k = -(-batch_size // rows)
+    bounds = [batch_size * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
+    """``run``'s outputs for every row of a literal table, computed tile by tile.
+
+    ``run(lc, tile, sr)`` takes a row block of the table and returns the
+    block's underflowed rows, then arrays with one entry per row along axis
+    0; those come back for the whole table, the rows numbered in it.
+    """
+    tiles = _tiles(lc, len(literals))
+    if len(tiles) == 1:
+        return run(lc, literals, sr)
+    lost, outs = [], None
+    for tile in tiles:
+        rows, *parts = run(lc, literals[tile], sr)
+        lost.append(rows + tile.start)
+        if outs is None:
+            outs = [np.empty_like(part, shape=(len(literals), *part.shape[1:]))
+                    for part in parts]
+        for out, part in zip(outs, parts):
+            out[tile] = part
+    return np.concatenate(lost), *outs
+
+
+def _tile_values(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring):
+    buf = _forward(lc, literals, sr)
+    return _underflowed(lc, buf, sr), buf[lc.root_slot].copy()
 
 
 def evaluate(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> np.ndarray:
     """One value per batch row: WMC, log-WMC, or a 0/1 satisfaction flag.
 
     Warns (``RuntimeWarning``) naming the rows whose value underflowed to
-    zero; see the module notes.
+    zero; see the module notes. A large batch runs in column tiles, so
+    beyond the batch and the output its working memory does not grow with
+    the number of rows.
     """
     s = get_structure(structure)
     _check_compatible(lc, batch, s)
-    sr = s.semiring
-    return _root(lc, _forward(lc, batch, sr), sr).copy()
+    lost, values = _by_tiles(lc, batch.literals, s.semiring, _tile_values)
+    _warn_underflow(lost, stacklevel=2)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +556,10 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
     dWMC/dp, the log structure d log WMC / dp. A row with zero weighted
     count has no log-gradient and comes back NaN in every column; only the
     constant circuit of an unsatisfiable formula, which has no variable
-    leaves, gives zeros there. Warns as :func:`evaluate` does.
+    leaves, gives zeros there. Warns as :func:`evaluate` does, and runs a
+    large batch in column tiles as it does: one tile's reverse buffer
+    takes about 8 MiB, so beyond the batch and the output its memory does
+    not grow with the number of rows.
     """
     return _value_and_grad(lc, batch, structure)[1]
 
@@ -499,7 +581,7 @@ def _scan(mul, x: np.ndarray) -> None:
 def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
                     structure) -> tuple[np.ndarray, np.ndarray]:
     """:func:`evaluate`'s values and :func:`backward`'s gradient, from one
-    forward pass."""
+    forward pass; an underflow warning points at the caller's caller."""
     s = get_structure(structure)
     if not s.differentiable:
         raise StructureError(f"structure {s.name!r} is not differentiable")
@@ -507,11 +589,16 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
     if batch.probs is None:
         raise ValueError("gradients are taken w.r.t. probabilities; "
                          "build the batch with LeafBatch.from_probabilities")
-    B = batch.batch_size
-    sr = s.semiring
-    buf = _forward(lc, batch, sr)
-    root = _root(lc, buf, sr)
-    layout = lc.layouts[B >= BUCKETED_FROM]
+    lost, values, grad = _by_tiles(lc, batch.literals, s.semiring, _tile_values_and_grads)
+    _warn_underflow(lost, stacklevel=3)
+    return values, grad
+
+
+def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring):
+    B = len(literals)
+    buf = _forward(lc, literals, sr)
+    root = buf[lc.root_slot]
+    layout = lc._layout_for(B)
     adj = np.empty((layout.n_rows, B))
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
     # top down through every layer above the leaves, which are layer 0
@@ -536,7 +623,7 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
     for slots, rows in layout.pulls[0]:
         adj[slots] = sr.finish(adj[rows[0]], root) if len(rows) == 1 else \
             _reduce(np.add, sr.finish(adj[rows], root))
-    return root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
+    return _underflowed(lc, buf, sr), root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Layered batched evaluation and its gradients against reference paths."""
 
 import ast
+import dataclasses
+import tracemalloc
 import warnings
 from itertools import product
 from pathlib import Path
@@ -9,13 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesycirc import layered
+from nesycirc import cli, layered
 from nesycirc.compiler import circuit_from_text, compile_cnf, smooth
 from nesycirc.errors import CarrierError, CircuitError, StructureError
 from nesycirc.formula import (CNF, brute_force_wmc, eval_assignment, parse_dimacs, to_cnf,
                               to_nnf)
-from nesycirc.layered import (BUCKETED_FROM, LeafBatch, _reduce, backward, evaluate,
-                              evaluate_recursive, layer_summary, layerize)
+from nesycirc.factory import ModuleFactory
+from nesycirc.layered import (BUCKETED_FROM, LeafBatch, _reduce, _tiles, _value_and_grad,
+                              backward, evaluate, evaluate_recursive, layer_summary, layerize)
+from nesycirc.tasks import build_addition, semantic_loss_and_grad
 
 from test_compiler import UNSMOOTH
 from test_formula import EX1, cnfs, formulas
@@ -389,6 +393,19 @@ def test_underflow_warning_names_the_rows():
     for fn in (evaluate, backward):
         with pytest.warns(RuntimeWarning, match=r"2 batch row\(s\) \(0, 2\)"):
             fn(lc, batch)
+    # across column tiles: one warning, rows numbered in the batch, pointing here
+    b = 2 * max(BUCKETED_FROM, layered._TILE_BYTES // (8 * lc._bucketed.n_rows)) + 1
+    assert len(_tiles(lc, b)) == 3
+    p = np.where(np.arange(b) % 2, 1.0, 0.0)
+    p[[0, -1]] = 0.3
+    batch = LeafBatch.from_probabilities(p[:, None] * np.ones(n))
+    for fn in (evaluate, backward):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(lc, batch)
+        assert [str(w.message).split(" whose")[0] for w in caught] == [
+            f"the circuit value underflowed to zero in 2 batch row(s) (0, {b - 1})"]
+        assert caught[0].filename == __file__
 
 
 @pytest.mark.parametrize("clauses, p", [
@@ -538,6 +555,110 @@ def test_wide_cnfs_agree_with_every_oracle(b, cnf, seed):
     live = wmc > 0.0
     grad, log_grad = backward(lc, batch), backward(lc, batch, "log")
     assert np.allclose(log_grad[live], grad[live] / wmc[live, None], rtol=1e-8, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Layouts built on first use, and column tiles
+
+
+def test_layouts_are_built_on_first_use(monkeypatch, tmp_path):
+    built, real = [], layered._layout
+
+    def counted(lc, merged):
+        built.append(merged)
+        return real(lc, merged)
+
+    monkeypatch.setattr(layered, "_layout", counted)
+    lc = layerize(smooth(compile_cnf(parse_dimacs(EX1))))
+    layer_summary(lc)
+    src = tmp_path / "ex1.cnf"
+    src.write_text(EX1)
+    assert cli.main(["compile", "--dimacs", str(src), "--out", str(tmp_path / "ex1.nnf")]) == 0
+    assert built == []
+    batch = LeafBatch.from_probabilities([[0.5, 0.5, 0.5]])
+    evaluate(lc, batch)
+    backward(lc, batch)
+    assert built == [True]
+    evaluate(lc, LeafBatch.from_probabilities(np.full((BUCKETED_FROM, 3), 0.5)))
+    assert built == [True, False]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lc._merged = None
+
+
+def _sum_999():
+    return ModuleFactory().module_from_dimacs(build_addition(3, 999).cnf)
+
+
+def _with_budget(budget, fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layered, "_TILE_BYTES", budget)
+        return fn(*args)
+
+
+def _all_outputs(m, rows):
+    """Every output of the layered calls, as uint64 bits."""
+    lc = m.backend.layered
+    batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+    flags = LeafBatch.from_probabilities(np.round(rows), num_vars=lc.num_vars,
+                                         aux_vars=lc.aux_vars)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outs = [evaluate(lc, flags, "boolean"), *semantic_loss_and_grad(m, batch)]
+        for s in ("probability", "log"):
+            outs += [evaluate(lc, batch, s), backward(lc, batch, s)]
+    return [np.asarray(out, np.float64).view(np.uint64) for out in outs]
+
+
+# 47 rows in tiles of at most BUCKETED_FROM: 15, 16 and 16, so the merged
+# layout runs beside the per-bucket one
+TILED_ROWS = 47
+
+
+def _assert_tiles_agree(m, rows):
+    lc = m.backend.layered
+    assert [t.stop - t.start for t in _with_budget(1, _tiles, lc, TILED_ROWS)] == [15, 16, 16]
+    one_tile = _with_budget(1 << 62, _all_outputs, m, rows)
+    for a, b in zip(one_tile, _with_budget(1, _all_outputs, m, rows)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=30)
+@given(wide_cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_tiles_agree_bitwise_with_one_tile(cnf, seed):
+    """Every reduction runs along the slot axis, so a row's values and
+    gradients do not depend on the tile it runs in."""
+    m = ModuleFactory().module_from_dimacs(cnf)
+    _assert_tiles_agree(m, _corner_rows(np.random.default_rng(seed), TILED_ROWS, cnf.n_inputs))
+
+
+def test_tiles_agree_bitwise_on_sum_999():
+    m = _sum_999()
+    rows = _rows(np.random.default_rng(18), 60, b=TILED_ROWS, lo=0.02, hi=0.98)
+    rows[:5] = np.round(rows[:5])  # corners: zero counts and NaN log gradients
+    _assert_tiles_agree(m, rows)
+
+
+def test_zero_row_batches_keep_their_shapes():
+    lc = layerize(smooth(compile_cnf(parse_dimacs(EX1))))
+    batch = LeafBatch.from_probabilities(np.empty((0, 3)))
+    for budget in (1, 1 << 62):
+        assert _with_budget(budget, evaluate, lc, batch).shape == (0,)
+        assert _with_budget(budget, backward, lc, batch, "log").shape == (0, 3)
+
+
+def test_large_batches_run_in_bounded_memory():
+    """The reverse buffer of one tile is bounded, not that of the batch:
+    at 8192 rows the sum-999 buffer alone would be 41 MB."""
+    lc = _sum_999().backend.layered
+    rows = _rows(np.random.default_rng(1), 60, b=8192, lo=0.02, hi=0.98)
+    batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+    tracemalloc.start()
+    try:
+        _value_and_grad(lc, batch, "log_probability")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
