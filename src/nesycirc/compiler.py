@@ -156,11 +156,10 @@ class _Builder:
         return hit if hit is not None else self._add("F", CircuitNode("FALSE"), 0)
 
     def lit(self, literal: int) -> int:
-        key = ("L", literal)
-        hit = self._memo.get(key)
+        hit = self._memo.get(literal)  # the one key that is an int
         if hit is not None:
             return hit
-        return self._add(key, CircuitNode("LIT", literal=literal), 1 << (abs(literal) - 1))
+        return self._add(literal, CircuitNode("LIT", literal=literal), 1 << (abs(literal) - 1))
 
     def conj(self, ids: list[int]) -> int:
         flat: list[int] = []
@@ -227,25 +226,27 @@ class _Builder:
 
 def _compact(nodes, masks, root):
     """Drop nodes unreachable from the root, preserving relative order."""
-    reach = set()
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        if i in reach:
-            continue
-        reach.add(i)
-        stack.extend(nodes[i].children)
-    order = sorted(reach)
-    remap = {old: new for new, old in enumerate(order)}
+    reach = [False] * (root + 1)  # children come before parents
+    reach[root] = True
+    for i in range(root, -1, -1):
+        if reach[i]:
+            for c in nodes[i].children:
+                reach[c] = True
+    if root + 1 == len(nodes) and all(reach):
+        return tuple(nodes), tuple(masks), root
+    remap = [0] * (root + 1)
     new_nodes = []
     new_masks = []
-    for old in order:
-        node = nodes[old]
-        if node.children:
-            node = CircuitNode(node.kind, tuple(remap[c] for c in node.children),
-                               node.literal, node.decision_var)
-        new_nodes.append(node)
-        new_masks.append(masks[old])
+    for old in range(root + 1):
+        if reach[old]:
+            node = nodes[old]
+            remap[old] = len(new_nodes)
+            if node.children:
+                kids = tuple([remap[c] for c in node.children])
+                if kids != node.children:  # nodes before the first dropped one keep theirs
+                    node = CircuitNode(node.kind, kids, node.literal, node.decision_var)
+            new_nodes.append(node)
+            new_masks.append(masks[old])
     return tuple(new_nodes), tuple(new_masks), remap[root]
 
 
@@ -322,7 +323,9 @@ def _condition(comp, occ, lits):
     sat = [False] * n
     true: set[int] = set()
     forced = list(lits)
-    units = [i for i, m in enumerate(left) if m == 1]  # a heap of clause indices
+    # a heap of clause indices; the components returned below hold no unit
+    # clause, so only the whole CNF can have one here
+    units = [i for i, m in enumerate(left) if m == 1] if 1 in left else []
     k = 0
     while True:
         # once every forced literal is set, force the lowest unit clause
@@ -339,14 +342,14 @@ def _condition(comp, occ, lits):
             sat[i] = True
         for i in occ.get(-lit, ()):
             if not sat[i]:
-                left[i] -= 1
-                if left[i] == 0:
-                    return None
-                if left[i] == 1:
+                m = left[i] = left[i] - 1
+                if m < 2:
+                    if not m:
+                        return None
                     heappush(units, i)
     # group the live clauses; from here on ``sat`` also marks grouped ones
     comps = []
-    reached: set[int] = set()
+    seen = {-l for l in true}  # false literals, and both of each variable reached
     for start in range(n):
         if sat[start]:
             continue
@@ -354,25 +357,29 @@ def _condition(comp, occ, lits):
         group = [start]
         for i in group:
             for l in comp[i]:
-                v = abs(l)
-                if -l in true or v in reached:
-                    continue
-                reached.add(v)
-                for j in chain(occ.get(v, ()), occ.get(-v, ())):
-                    if not sat[j]:
-                        sat[j] = True
-                        group.append(j)
+                if l not in seen:
+                    seen.add(l)
+                    seen.add(-l)
+                    for j in occ.get(l, ()):
+                        if not sat[j]:
+                            sat[j] = True
+                            group.append(j)
+                    for j in occ.get(-l, ()):
+                        if not sat[j]:
+                            sat[j] = True
+                            group.append(j)
         group.sort()
-        comps.append(tuple(comp[i] if left[i] == len(comp[i])
-                           else tuple([l for l in comp[i] if -l not in true])
-                           for i in group))
+        comps.append(tuple([comp[i] if left[i] == len(comp[i])
+                            else tuple([l for l in comp[i] if -l not in true])
+                            for i in group]))
     return forced, comps
 
 
 def _pick_var(comp, rank: dict[int, int]) -> int:
     best_len = min(map(len, comp))
-    counts = Counter(map(abs, chain.from_iterable(c for c in comp if len(c) == best_len)))
-    return min(counts, key=lambda v: (-counts[v], rank[v], v))
+    counts = Counter(map(abs, chain.from_iterable([c for c in comp if len(c) == best_len])))
+    most = max(counts.values())
+    return min([(rank[v], v) for v, c in counts.items() if c == most])[1]
 
 
 def _elimination_rank(clauses) -> dict[int, int]:
@@ -400,12 +407,12 @@ def _elimination_rank(clauses) -> dict[int, int]:
     A single wide clause has no cut, though, and min-degree still costs
     time quadratic in its width.
     """
-    members: dict[int, set[int]] = {}  # clause id -> its variables
-    cliques: dict[int, set[int]] = {}  # variable -> ids of its clauses
-    for e, clause in enumerate(clauses):
-        members[e] = {abs(l) for l in clause}
-        for v in members[e]:
-            cliques.setdefault(v, set()).add(e)
+    # clause id -> its variables, and variable -> ids of its clauses
+    members = {e: set(map(abs, clause)) for e, clause in enumerate(clauses)}
+    cliques: defaultdict[int, set[int]] = defaultdict(set)
+    for e, vs in members.items():
+        for v in vs:
+            cliques[v].add(e)
 
     order: list[int] = []  # the reverse of the elimination order
     # a part comes with its level structure from its lowest variable, if known
@@ -518,15 +525,24 @@ def _min_degree_order(members: dict[int, set[int]],
     eliminated variable that joins the cliques it was in, so a clause of
     width k takes memory k, not k squared. A variable in only one clique
     has a clique for a neighbourhood and leaves it without joining anything.
+
+    The order depends only on the graph, so a clique that lies inside
+    another is dropped first: addition's pairwise at-most-one clauses lie
+    inside each digit's at-least-one clause.
     """
-
-    def degree(v: int) -> int:
-        return len({v}.union(*map(members.__getitem__, cliques[v]))) - 1
-
-    deg = {v: degree(v) for v in cliques}
+    new_ids = count(len(members))  # past the clauses' ids, some dropped here
+    for e in range(len(members)):
+        vs = members[e]
+        for f in cliques[next(iter(vs))]:
+            if f != e and vs <= members[f]:  # of equal cliques the last stays
+                del members[e]
+                for u in vs:
+                    cliques[u].discard(e)
+                break
+    deg = {v: len(set().union(*map(members.__getitem__, own))) - 1
+           for v, own in cliques.items()}
     heap = [(d, v) for v, d in deg.items()]
     heapify(heap)  # stale entries, whose degree has changed, are skipped
-    new_ids = count(len(members))
     order: list[int] = []
     while heap:
         d, v = heappop(heap)
@@ -546,9 +562,10 @@ def _min_degree_order(members: dict[int, set[int]],
             e = next(new_ids)
             members[e] = touched
             for u in touched:
-                cliques[u] -= own
-                cliques[u].add(e)
-                deg[u] = degree(u)
+                rest = cliques[u]
+                rest -= own
+                deg[u] = len(touched.union(*map(members.__getitem__, rest))) - 1
+                rest.add(e)
         for u in touched:
             heappush(heap, (deg[u], u))
         if len(heap) > 2 * len(deg):  # mostly stale, as a wide clique leaves it

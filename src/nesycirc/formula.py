@@ -460,40 +460,58 @@ def _walk(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple[int, ...], ...]]
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negations on variables only, no -> or <->.
 
-    ``Iff(a, b)`` becomes ``Or(And(a, b), And(~a, ~b))``. One loop over
-    :func:`_walk` builds each node's NNF and its negation's NNF once, so
-    the NNFs of a and of ~a are shared by both conjunctions, and a
-    subformula shared in f stays shared. The result is a DAG that grows
-    linearly with nested equivalences, though the tree it unfolds to
-    doubles with each one. It is cached on f like the walk, so converting
-    f again (once per structure a module is built under) returns the same
-    NNF, whose own walks are then built only once.
+    ``Iff(a, b)`` becomes ``Or(And(a, b), And(~a, ~b))``. A first loop down
+    :func:`_walk` marks which polarities of each node the result reaches;
+    a second, bottom-up, builds the NNF of each marked node and of each
+    marked negation once, so the NNFs of a and of ~a are shared by both
+    conjunctions, and a subformula shared in f stays shared. The result is
+    a DAG that grows linearly with nested equivalences, though the tree it
+    unfolds to doubles with each one. It is cached on f like the walk, so
+    converting f again (once per structure a module is built under)
+    returns the same NNF, whose own walks are then built only once.
     """
     nnf = getattr(f, "_nnf", None)
     if nnf is not None:
         return nnf
     nodes, kids = _walk(f)
-    pairs: list[tuple[Formula, Formula]] = []  # each node's NNF and its negation's
-    for node, ks in zip(nodes, kids):
-        if isinstance(node, Var):
-            pair = (node, Not(node))
+    # bit 1: the node's NNF is reached, bit 2: its negation's
+    need = [0] * len(nodes)
+    need[-1] = 1
+    for i in range(len(nodes) - 1, -1, -1):
+        node, want, ks = nodes[i], need[i], kids[i]
+        if isinstance(node, (And, Or)):
+            need[ks[0]] |= want
+            need[ks[1]] |= want
+        elif isinstance(node, Not):
+            need[ks[0]] |= (want & 1) << 1 | want >> 1
+        elif isinstance(node, Implies):  # ~a | b, negated a & ~b
+            need[ks[0]] |= (want & 1) << 1 | want >> 1
+            need[ks[1]] |= want
+        elif isinstance(node, Iff):
+            need[ks[0]] |= 3
+            need[ks[1]] |= 3
+        elif not isinstance(node, (Var, TrueF, FalseF)):
+            raise FormulaError(f"unknown formula node {type(node).__name__}")
+    pairs: list[tuple[Formula | None, Formula | None]] = []  # NNF and negation, if marked
+    for node, ks, want in zip(nodes, kids, need):
+        if isinstance(node, _BINARY):
+            (ap, an), (bp, bn) = pairs[ks[0]], pairs[ks[1]]
+            if isinstance(node, And):
+                pair = (And(ap, bp) if want & 1 else None, Or(an, bn) if want & 2 else None)
+            elif isinstance(node, Or):
+                pair = (Or(ap, bp) if want & 1 else None, And(an, bn) if want & 2 else None)
+            elif isinstance(node, Implies):
+                pair = (Or(an, bp) if want & 1 else None, And(ap, bn) if want & 2 else None)
+            else:
+                pair = (Or(And(ap, bp), And(an, bn)) if want & 1 else None,
+                        And(Or(an, bn), Or(ap, bp)) if want & 2 else None)
+        elif isinstance(node, Var):
+            pair = (node, Not(node) if want & 2 else None)
         elif isinstance(node, Not):
             pos, neg = pairs[ks[0]]
             pair = (neg, pos)
-        elif isinstance(node, (TrueF, FalseF)):
-            pair = (TRUE, FALSE) if isinstance(node, TrueF) else (FALSE, TRUE)
-        elif isinstance(node, _BINARY):
-            (ap, an), (bp, bn) = pairs[ks[0]], pairs[ks[1]]
-            if isinstance(node, And):
-                pair = (And(ap, bp), Or(an, bn))
-            elif isinstance(node, Or):
-                pair = (Or(ap, bp), And(an, bn))
-            elif isinstance(node, Implies):
-                pair = (Or(an, bp), And(ap, bn))
-            else:
-                pair = (Or(And(ap, bp), And(an, bn)), And(Or(an, bn), Or(ap, bp)))
         else:
-            raise FormulaError(f"unknown formula node {type(node).__name__}")
+            pair = (TRUE, FALSE) if isinstance(node, TrueF) else (FALSE, TRUE)
         pairs.append(pair)
     nnf = pairs[-1][0]
     if nnf is not f:  # a variable or constant is its own NNF; no self-reference

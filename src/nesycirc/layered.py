@@ -43,10 +43,12 @@ a pull group of in-degree one is a row gather with no reduction at all.
 Both are exact, as ``logaddexp(-inf, x)``, ``1 * x`` and ``0 + x`` return
 ``x`` (the last but for ``x = -0.0``), save one case that keeps the
 identity: numpy sums a reduction to a single element pairwise, and there
-the start would regroup the terms. And ``np.take(..., out=...)`` in its
+the start would regroup the terms. And ``take(..., out=...)`` in its
 default ``mode="raise"`` copies through a temporary buffer, which about
 triples the time of the scans' ``(19, 2, 1024)`` gathers, so those run
-with ``mode="clip"``; ``layerize`` builds every index in range.
+with ``mode="clip"``; ``layerize`` builds every index in range. The loops
+call the ``ndarray.take`` method: ``np.take`` is a Python wrapper that
+looks the method up and calls it, a fixed cost that shows at one row.
 
 At small batches the cost is the number of numpy calls, not their width,
 so below :data:`BUCKETED_FROM` rows the same loops run on a merged layout:
@@ -448,9 +450,9 @@ def _reduce(op: np.ufunc, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def _forward(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring) -> np.ndarray:
     """The forward buffer of the rows of a literal table (see LeafBatch)."""
     buf = np.empty((lc.n_slots + 2, len(literals)), dtype=sr.dtype)
-    # np.take along axis 1: on sum-999's 128-column table at 8192 rows it
+    # take along axis 1: on sum-999's 128-column table at 8192 rows it
     # gathers about 4x faster than literals[:, leaf_cols]
-    buf[:lc.n_leaves] = sr.leaf(np.take(literals, lc.leaf_cols, axis=1).T)
+    buf[:lc.n_leaves] = sr.leaf(literals.take(lc.leaf_cols, axis=1).T)
     buf[lc.n_slots:] = sr.leaf(literals[:, -2:].T)  # the pads: TRUE, FALSE
     layout = lc._layout_for(len(literals))
     for layer, buckets in zip(lc.layers, layout.buckets):
@@ -614,7 +616,7 @@ def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semirin
             fanin, m = children.shape
             out = adj[first_row:first_row + fanin * m].reshape(fanin, m, B)
             out[0] = adj[start:stop]
-            np.take(buf, children[:-1], axis=0, out=out[1:], mode="clip")
+            buf.take(children[:-1], axis=0, out=out[1:], mode="clip")
             _scan(sr.mul, out)
             suffix = buf[children[:0:-1]]
             _scan(sr.mul, suffix)

@@ -1,6 +1,9 @@
 """Compilation into decomposable, deterministic, smooth circuits."""
 
 import ast
+import hashlib
+import random
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +12,12 @@ from hypothesis import given, strategies as st
 
 import nesycirc
 from nesycirc.compiler import (Circuit, CircuitNode, _elimination_rank,
-                               check_properties, circuit_from_text,
+                               _min_degree_order, check_properties, circuit_from_text,
                                circuit_to_text, compile_cnf, load_circuit,
                                model_count, save_circuit, smooth)
 from nesycirc.errors import CircuitError
-from nesycirc.formula import CNF, brute_force_models, parse_dimacs
+from nesycirc.formula import (CNF, And, Iff, Implies, Not, Or, brute_force_models,
+                              make_name_table, parse_dimacs, to_cnf, to_nnf)
 from nesycirc.layered import LeafBatch, evaluate, layerize
 from nesycirc.tasks import build_addition
 
@@ -175,6 +179,44 @@ def test_elimination_rank_decides_separators_first():
     assert _elimination_rank([(1, 2, 3), (4,)]) == {3: 0, 2: 1, 1: 2, 4: 3}
 
 
+def _clause_maps(clauses):
+    """The maps _elimination_rank hands to _min_degree_order."""
+    members = {e: {abs(l) for l in clause} for e, clause in enumerate(clauses)}
+    cliques = {}
+    for e, vs in members.items():
+        for v in vs:
+            cliques.setdefault(v, set()).add(e)
+    return members, cliques
+
+
+def _min_degree_corpus():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        n = rng.randrange(4, 25)
+        clauses = []
+        for _ in range(rng.randrange(1, 3 * n)):
+            vs = rng.sample(range(1, n + 1), rng.randrange(1, min(n, 5) + 1))
+            clauses.append(tuple(v * rng.choice((1, -1)) for v in vs))
+        yield rng, clauses
+    # one wide clique, with a path hanging off it and a clause across both
+    yield rng, [tuple(range(1, 41))] + [(i, -(i + 1)) for i in range(40, 60)] + [(5, 50, -59)]
+
+
+def test_min_degree_order_depends_only_on_the_graph():
+    """Duplicate clauses, clauses inside other clauses and the clause order
+    leave the primal graph, and so the min-degree order, unchanged."""
+    for rng, clauses in _min_degree_corpus():
+        want = _min_degree_order(*_clause_maps(clauses))
+        assert sorted(want) == sorted({abs(l) for c in clauses for l in c})
+        duplicated = clauses + rng.choices(clauses, k=len(clauses))
+        inside = clauses + [tuple(rng.sample(c, rng.randrange(1, len(c) + 1)))
+                            for c in rng.choices(clauses, k=len(clauses))]
+        for variant in (duplicated, inside):
+            assert _min_degree_order(*_clause_maps(variant)) == want
+            assert _min_degree_order(*_clause_maps(rng.sample(variant, len(variant)))) == want
+        assert _min_degree_order(*_clause_maps(rng.sample(clauses, len(clauses)))) == want
+
+
 def test_smooth_is_idempotent(ex1):
     once = smooth(compile_cnf(ex1))
     twice = smooth(once)
@@ -307,3 +349,48 @@ def test_file_round_trip_ignores_comments(tmp_path, ex1):
 def test_bad_circuit_text_is_rejected(text, match):
     with pytest.raises(CircuitError, match=match):
         circuit_from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# Pinned output
+
+
+def _random_formula(rng, leaves, size):
+    """A random formula over the shared ``leaves`` with ``size`` binary
+    connectives drawn from &, |, -> and <->, and negations in between."""
+    nodes = [rng.choice(leaves) for _ in range(size + 1)]
+    while len(nodes) > 1:
+        i = rng.randrange(len(nodes) - 1)
+        op = rng.choice((And, Or, Implies, Iff))
+        node = op(nodes[i], nodes[i + 1])
+        nodes[i:i + 2] = [Not(node) if rng.random() < 0.2 else node]
+    return nodes[0]
+
+
+def _pinned_corpus():
+    rng = random.Random(20261019)
+    top = 2 * 999
+    yield from (build_addition(3, (k * (top + 1) + 500) // 12).cnf for k in range(12))
+    yield build_addition(2, 99).cnf
+    for n in (200, 1000):
+        yield CNF(n, tuple((-i, i + 1) for i in range(1, n)))
+    for _ in range(40):
+        yield CNF(16, tuple(tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 17), 3))
+                            for _ in range(48)))
+    leaves = list(make_name_table([f"x{i}" for i in range(1, 11)]).values())
+    for _ in range(30):
+        f = _random_formula(rng, leaves, rng.randrange(4, 24))
+        yield to_cnf(to_nnf(f), num_vars=10)
+    yield CNF(200, (tuple(v * rng.choice((1, -1)) for v in range(1, 201)),))
+    yield CNF(3, tuple(tuple(s * v for s, v in zip(signs, (1, 2, 3)))
+                       for signs in product((1, -1), repeat=3)))
+
+
+def test_compile_output_pinned():
+    """Every node, edge, number and tie-break of compile_cnf's output on a
+    fixed corpus. A change to the compiler that alters any circuit fails
+    here; if the new output is intended, update the digest deliberately."""
+    digest = hashlib.sha256()
+    for cnf in _pinned_corpus():
+        digest.update(circuit_to_text(compile_cnf(cnf)).encode())
+    assert digest.hexdigest() == "bf520b039d600e10c321dcc7014150d46b3b0b352fcfc02691da61c3da203eef"
