@@ -9,9 +9,10 @@ so that decisions cut the constraint graph into components early, as a dtree
 built from an elimination order does. The order is nested dissection: a
 part of the graph whose middle breadth-first level holds at most an eighth
 of it is cut there, the cut eliminated last, and a part with no such cut is
-ordered by min-degree. An implication chain is thus decided from its middle
-outwards (n log n edges in about log n layers), while addition and random
-CNFs, whose level cuts are wider, keep their min-degree order.
+ranked by degree in the primal graph, highest first. An implication chain
+is thus decided from its middle outwards (n log n edges in about log n
+layers), while addition and random CNFs, whose level cuts are wider, are
+decided by degree.
 
 A decision produces ``OR(AND(v, sub_t), AND(~v, sub_f))`` with the decision
 variable recorded on the OR node, which makes the two branches mutually
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from itertools import chain, count
+from heapq import heappop, heappush
+from itertools import chain
 
 from .errors import CircuitError
 from .formula import CNF, _var_range_problem
@@ -258,7 +259,7 @@ def compile_cnf(cnf: CNF) -> Circuit:
     chosen by most occurrences in the shortest residual clauses, with ties
     going to the first variable in :func:`_elimination_rank` of the whole
     CNF (nested dissection at breadth-first level cuts of at most an eighth
-    of a part, min-degree elsewhere) and then to the lowest id; units are
+    of a part, primal-graph degree elsewhere); units are
     propagated lowest clause first, and components are compiled in the
     order of their first clause.
     Unsatisfiable input yields the single FALSE node.
@@ -384,7 +385,7 @@ def _pick_var(comp, rank: dict[int, int]) -> int:
 
 def _elimination_rank(clauses) -> dict[int, int]:
     """Rank the variables of ``clauses`` by a nested-dissection elimination
-    order with a min-degree fallback.
+    order, with parts that have no cut ranked by degree.
 
     The primal graph links two variables that share a clause. The variable
     eliminated last gets rank 0: it separates what is left, so deciding it
@@ -397,15 +398,15 @@ def _elimination_rank(clauses) -> dict[int, int]:
       structure (:func:`_level_cut`) if that level holds at most an eighth
       of the part; the cut is eliminated after the rest of the part, so it
       ranks before it, and the rest goes back on the stack;
-    - any other part is ordered by :func:`_min_degree_order` on its clauses
-      restricted to its variables.
+    - any other part is ranked by each variable's degree in the primal
+      graph of the whole CNF (the number of distinct variables it shares a
+      clause with), highest first and ties to the higher id.
 
     So a path is halved again and again and its middle is decided first,
-    while the level cuts of addition or random CNFs are too wide and
-    min-degree orders them whole. The graph is never built: the search
-    walks variable to clause to variable, so a clause of width k costs k.
-    A single wide clause has no cut, though, and min-degree still costs
-    time quadratic in its width.
+    while the level cuts of addition or random CNFs are too wide and they
+    are ranked by degree whole. The graph is never built: the search walks
+    variable to clause to variable, so a clause of width k costs it k steps,
+    and the degrees take one union of clause sets per variable.
     """
     # clause id -> its variables, and variable -> ids of its clauses
     members = {e: set(map(abs, clause)) for e, clause in enumerate(clauses)}
@@ -413,6 +414,9 @@ def _elimination_rank(clauses) -> dict[int, int]:
     for e, vs in members.items():
         for v in vs:
             cliques[v].add(e)
+    # degree in the primal graph: the variables sharing a clause with v
+    deg = {v: len(set().union(*map(members.__getitem__, own))) - 1
+           for v, own in cliques.items()}
 
     order: list[int] = []  # the reverse of the elimination order
     # a part comes with its level structure from its lowest variable, if known
@@ -437,10 +441,8 @@ def _elimination_rank(clauses) -> dict[int, int]:
         if cut:
             order.extend(sorted(cut))
             stack.append((part.difference(cut), None))
-        elif len(part) == len(cliques):  # the whole CNF: no copy needed
-            order.extend(reversed(_min_degree_order(members, cliques)))
         else:
-            order.extend(reversed(_min_degree_order(*_restrict(part, members, cliques))))
+            order.extend(sorted(part, key=lambda v: (deg[v], v), reverse=True))
     return {v: r for r, v in enumerate(order)}
 
 
@@ -476,7 +478,7 @@ def _level_cut(part: set[int], levels, members, cliques) -> list[int]:
     reaches half the part, kept off the first and last level. It is taken
     only if 8 times its size is at most the part's size: wider cuts cost
     more decisions than their split saves (with a quarter, the four formula
-    CNFs of the benchmark's ``modules`` workload grow from 3270 to 3570
+    CNFs of the benchmark's ``modules`` workload grow from 3258 to 3319
     edges).
     """
     if len(part) < 8:  # even a one-variable cut is too wide
@@ -495,83 +497,6 @@ def _level_cut(part: set[int], levels, members, cliques) -> list[int]:
             break
     cut = levels[min(max(i, 1), len(levels) - 2)]
     return cut if 8 * len(cut) <= len(part) else []
-
-
-def _restrict(part: set[int], members, cliques):
-    """The clique maps of the clauses that meet ``part``, cut down to its
-    variables and renumbered from 0, for :func:`_min_degree_order`."""
-    sub_members: dict[int, set[int]] = {}
-    sub_cliques: dict[int, set[int]] = {v: set() for v in part}
-    ids: dict[int, int] = {}
-    for v in part:
-        for e in cliques[v]:
-            if e not in ids:
-                ids[e] = len(sub_members)
-                sub_members[ids[e]] = members[e] & part
-            sub_cliques[v].add(ids[e])
-    return sub_members, sub_cliques
-
-
-def _min_degree_order(members: dict[int, set[int]],
-                      cliques: dict[int, set[int]]) -> list[int]:
-    """A min-degree elimination order of the variables of ``cliques``.
-
-    ``members`` maps clique ids ``0..len(members)-1`` to their variables and
-    ``cliques`` each variable to the ids of its cliques; both are consumed.
-    Variables are eliminated by least current degree, ties going to the
-    lowest id, and an eliminated variable's neighbours become a clique.
-
-    The graph is held as cliques, first the clauses and then one per
-    eliminated variable that joins the cliques it was in, so a clause of
-    width k takes memory k, not k squared. A variable in only one clique
-    has a clique for a neighbourhood and leaves it without joining anything.
-
-    The order depends only on the graph, so a clique that lies inside
-    another is dropped first: addition's pairwise at-most-one clauses lie
-    inside each digit's at-least-one clause.
-    """
-    new_ids = count(len(members))  # past the clauses' ids, some dropped here
-    for e in range(len(members)):
-        vs = members[e]
-        for f in cliques[next(iter(vs))]:
-            if f != e and vs <= members[f]:  # of equal cliques the last stays
-                del members[e]
-                for u in vs:
-                    cliques[u].discard(e)
-                break
-    deg = {v: len(set().union(*map(members.__getitem__, own))) - 1
-           for v, own in cliques.items()}
-    heap = [(d, v) for v, d in deg.items()]
-    heapify(heap)  # stale entries, whose degree has changed, are skipped
-    order: list[int] = []
-    while heap:
-        d, v = heappop(heap)
-        if deg.get(v) != d:
-            continue
-        del deg[v]
-        order.append(v)
-        own = cliques.pop(v)
-        if len(own) == 1:
-            touched = members[own.pop()]
-            touched.discard(v)
-            for u in touched:
-                deg[u] -= 1
-        else:
-            touched = set().union(*(members.pop(e) for e in own))
-            touched.discard(v)
-            e = next(new_ids)
-            members[e] = touched
-            for u in touched:
-                rest = cliques[u]
-                rest -= own
-                deg[u] = len(touched.union(*map(members.__getitem__, rest))) - 1
-                rest.add(e)
-        for u in touched:
-            heappush(heap, (deg[u], u))
-        if len(heap) > 2 * len(deg):  # mostly stale, as a wide clique leaves it
-            heap = [(d, u) for u, d in deg.items()]
-            heapify(heap)
-    return order
 
 
 # ---------------------------------------------------------------------------

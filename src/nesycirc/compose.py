@@ -288,14 +288,8 @@ class _Plan:
                  producers: dict[str, _Source]):
         self.dst = f"{consumer}[{input_idx}]"
         self.target = target
-        self.sources = []
-        structures = set()
-        for s in target.symbols:
-            src = producers.get(s)
-            if src is None:
-                raise CompositionError(f"symbol {s!r} needed by {self.dst} is never produced")
-            self.sources.append(src)
-            structures.add(src.spec.structure)
+        self.sources = [producers[s] for s in target.symbols]
+        structures = {src.spec.structure for src in self.sources}
         if len(structures) > 1:
             raise CompositionError(f"{self.dst} mixes structures {sorted(structures)}")
         frm = structures.pop() if structures else target.structure

@@ -56,9 +56,11 @@ one bucket and one pull group per layer, padded to the layer's largest
 fan-in with an identity slot (one under products, zero under sums) and to
 its largest in-degree with a zero row. The pad slots sit past
 ``n_slots``. The constant lies between the measured crossovers of a
-value-and-gradient call: about 24 to 32 rows on the sum-999 addition
-constraint and 8 to 12 on a 400-variable implication chain. At one row
-the merged layout takes about half the time of the per-bucket one.
+value-and-gradient call on a 2-core Xeon host: on the sum-999 addition
+constraint (468 edges) 12 to 16 rows under log and 32 to 40 under
+probability, and 4 to 8 rows on a 400-variable implication chain. At
+four rows the merged layout takes about 70% of the per-bucket one's time
+on sum-999.
 ``layerize`` builds neither layout; each is built on the first batch that
 runs on it and kept, so compiling a circuit file pays for none.
 
@@ -74,10 +76,11 @@ remainder. A batch that fits in one tile runs the loops on the whole
 table with nothing copied. The budget is in bytes because a row count
 bounds nothing on a large circuit: a 4000-variable implication chain has
 65,035 reverse-buffer rows, 520 KB a column, so a 2048-row tile would be
-1 GB. The budget was measured from 6 to 16 MiB: on the sum-999 addition
-constraint at 8192 rows (633 rows, five tiles of 1638) 8 MiB was the
-fastest and kept the 1024-row batch whole; the chain at 1024 rows (64
-tiles of 16) ran within noise of the wider tiles of larger budgets.
+1 GB. The budget was measured from 6 to 16 MiB, on an earlier compile of
+the sum-999 addition constraint (480 edges, 633 rows; 621 rows now, still
+five tiles of 1638 or 1639 at 8192 rows): 8 MiB was the fastest and kept
+the 1024-row batch whole; the 4000-variable chain at 1024 rows (64 tiles
+of 16) ran within noise of the wider tiles of larger budgets.
 
 Supported structures are the circuit-safe ones: ``probability`` (weighted
 model counting), ``boolean`` (satisfaction indicator on 0/1 weights), and
@@ -121,6 +124,7 @@ import numpy as np
 
 from .compiler import Circuit, check_properties
 from .errors import StructureError
+from .formula import _var_range_problem
 from .semantics import Carrier, Semiring, get_structure
 
 __all__ = [
@@ -361,6 +365,9 @@ class LeafBatch:
     probs: np.ndarray | None = None
 
     def __post_init__(self):
+        problem = _var_range_problem(self.num_vars, self.aux_vars)
+        if problem:
+            raise ValueError(problem)
         self.literals.flags.writeable = False
 
     @property
@@ -396,8 +403,6 @@ class LeafBatch:
         if num_vars != n_inputs + len(aux):
             raise ValueError(f"{n_inputs} probability columns plus {len(aux)} auxiliaries "
                              f"do not cover {num_vars} variables")
-        if aux and aux != frozenset(range(n_inputs + 1, num_vars + 1)):
-            raise ValueError("auxiliary variables must occupy the top of the id range")
         ones = np.ones((b, len(aux)))
         literals = np.concatenate(
             [p, ones, 1.0 - p, ones, np.ones((b, 1)), np.zeros((b, 1))], axis=1)

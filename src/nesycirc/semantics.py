@@ -231,7 +231,8 @@ _LUKASIEWICZ = FuzzyConnectives(
 
 
 def _make_fuzzy(name: str, conn: FuzzyConnectives) -> Structure:
-    return Structure(name=name, carrier=_UNIT, differentiable=True, fuzzy=conn)
+    rules = (conn.neg_grad, conn.conj_grad, conn.disj_grad)
+    return Structure(name=name, carrier=_UNIT, differentiable=None not in rules, fuzzy=conn)
 
 
 _BUILTINS: dict[str, Structure] = {
@@ -358,7 +359,7 @@ def fuzzy_value_and_grad(f, s, var_scores):
     """
     s, scores, nodes, values, kids = _fuzzy_forward(f, s, var_scores)
     conn = s.fuzzy
-    if conn.conj_grad is None or conn.disj_grad is None or conn.neg_grad is None:
+    if not s.differentiable:
         raise StructureError(
             f"structure {s.name!r} has no gradient rules; register them or use a built-in family")
     grad = np.zeros(scores.shape)

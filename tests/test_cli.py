@@ -552,6 +552,22 @@ def test_bench_guards(capsys):
     assert main(["bench", "--task", "sudoku", "--digits", "1"]) == 1
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["bench", "--task", "addition", "--digits", "1", "--batch", ","], 1,
+     "error[usage]: --batch needs at least one size\n"),
+    (["bench", "--task", "addition", "--digits", "9"], 1,
+     "error[usage]: n_digits must be in [1, 4], got 9\n"),
+    (["eval", "--semantics", "fuzzy_product", "--weights", "{w}"], 1,
+     "error[usage]: this semantics requires --formula\n"),
+    (["eval", "--semantics", "fuzzy_product", "--formula", "a & b", "--names", "a,b",
+      "--weights", "{w}"], 2, "error[format]: {w}: 3 weight columns for 2 declared names\n"),
+], ids=["empty-batch", "digits", "fuzzy-without-formula", "weight-columns"])
+def test_documented_usage_errors(argv, code, err, weights_file, capsys):
+    assert main([a.format(w=weights_file) for a in argv]) == code
+    out, got = capsys.readouterr()
+    assert out == "" and got == err.format(w=weights_file)
+
+
 # ---------------------------------------------------------------------------
 # Entry-point plumbing
 

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nesycirc
-from nesycirc.compiler import (Circuit, CircuitNode, _elimination_rank,
-                               _min_degree_order, check_properties, circuit_from_text,
-                               circuit_to_text, compile_cnf, load_circuit,
-                               model_count, save_circuit, smooth)
+from nesycirc.compiler import (Circuit, CircuitNode, _elimination_rank, check_properties,
+                               circuit_from_text, circuit_to_text, compile_cnf,
+                               load_circuit, model_count, save_circuit, smooth)
 from nesycirc.errors import CircuitError
 from nesycirc.formula import (CNF, And, Iff, Implies, Not, Or, brute_force_models,
                               make_name_table, parse_dimacs, to_cnf, to_nnf)
@@ -133,10 +132,11 @@ def _edges(c):
     return sum(len(node.children) for node in c.nodes)
 
 
-@pytest.mark.parametrize("n_digits, query_sum, max_edges", [(3, 999, 600), (4, 9999, 1000)])
+@pytest.mark.parametrize("n_digits, query_sum, max_edges", [(3, 999, 468), (4, 9999, 624)])
 def test_addition_circuit_stays_small(n_digits, query_sum, max_edges):
     """Branching guided by the elimination rank decomposes the carry chain;
-    lowest-id tie-breaking gave 4431 and 24293 edges."""
+    lowest-id tie-breaking gave 4431 and 24293 edges, and a min-degree
+    elimination order 480 and 804."""
     c = smooth(compile_cnf(build_addition(n_digits, query_sum).cnf))
     assert _edges(c) <= max_edges
     top = 2 * (10 ** n_digits - 1)
@@ -169,27 +169,18 @@ def test_elimination_rank_cuts_long_paths_in_the_middle():
 
 
 def test_elimination_rank_decides_separators_first():
-    # star: the leaves go first, lowest id first, and the hub ranks first
+    # star: the hub has the highest degree and ranks first, then the
+    # leaves, ties going to the higher id
     assert _elimination_rank([(1, -5), (2, 5), (-3, 5), (4, 5)]) == {5: 0, 4: 1, 3: 2, 2: 3, 1: 4}
-    # path 1-2-3-4-5: both ends have degree 1 and the lower id goes first,
-    # so elimination runs from 1 and the far end ranks first
-    assert _elimination_rank([(1, 2), (-2, 3), (3, -4), (4, 5)]) == {5: 0, 4: 1, 3: 2, 2: 3, 1: 4}
+    # path 1-2-3-4-5: below 8 variables a part is never cut, so it is ranked
+    # by degree, the inner variables (degree 2) before the ends (degree 1)
+    assert _elimination_rank([(1, 2), (-2, 3), (3, -4), (4, 5)]) == {4: 0, 3: 1, 2: 2, 5: 3, 1: 4}
     # a clause is a clique; a variable alone in its clauses has degree 0,
-    # so it goes first and ranks last
+    # so it ranks last
     assert _elimination_rank([(1, 2, 3), (4,)]) == {3: 0, 2: 1, 1: 2, 4: 3}
 
 
-def _clause_maps(clauses):
-    """The maps _elimination_rank hands to _min_degree_order."""
-    members = {e: {abs(l) for l in clause} for e, clause in enumerate(clauses)}
-    cliques = {}
-    for e, vs in members.items():
-        for v in vs:
-            cliques.setdefault(v, set()).add(e)
-    return members, cliques
-
-
-def _min_degree_corpus():
+def _rank_corpus():
     rng = random.Random(20261019)
     for _ in range(40):
         n = rng.randrange(4, 25)
@@ -202,19 +193,19 @@ def _min_degree_corpus():
     yield rng, [tuple(range(1, 41))] + [(i, -(i + 1)) for i in range(40, 60)] + [(5, 50, -59)]
 
 
-def test_min_degree_order_depends_only_on_the_graph():
+def test_elimination_rank_depends_only_on_the_graph():
     """Duplicate clauses, clauses inside other clauses and the clause order
-    leave the primal graph, and so the min-degree order, unchanged."""
-    for rng, clauses in _min_degree_corpus():
-        want = _min_degree_order(*_clause_maps(clauses))
+    leave the primal graph, and so the elimination rank, unchanged."""
+    for rng, clauses in _rank_corpus():
+        want = _elimination_rank(clauses)
         assert sorted(want) == sorted({abs(l) for c in clauses for l in c})
         duplicated = clauses + rng.choices(clauses, k=len(clauses))
         inside = clauses + [tuple(rng.sample(c, rng.randrange(1, len(c) + 1)))
                             for c in rng.choices(clauses, k=len(clauses))]
         for variant in (duplicated, inside):
-            assert _min_degree_order(*_clause_maps(variant)) == want
-            assert _min_degree_order(*_clause_maps(rng.sample(variant, len(variant)))) == want
-        assert _min_degree_order(*_clause_maps(rng.sample(clauses, len(clauses)))) == want
+            assert _elimination_rank(variant) == want
+            assert _elimination_rank(rng.sample(variant, len(variant))) == want
+        assert _elimination_rank(rng.sample(clauses, len(clauses))) == want
 
 
 def test_smooth_is_idempotent(ex1):
@@ -351,6 +342,17 @@ def test_bad_circuit_text_is_rejected(text, match):
         circuit_from_text(text)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("nnfc 1\nnvars 2\naux\nnnodes 1\nroot 0\nnode 0 LIT 1\n", "mention every declared"),
+    (UNSMOOTH, r"violates smooth \(nodes 5\)"),
+], ids=["root-misses-a-variable", "unsmooth"])
+def test_model_count_refuses_loaded_circuit(text, match):
+    """A file may hold a valid circuit that model_count cannot count."""
+    c = circuit_from_text(text)
+    with pytest.raises(CircuitError, match=match):
+        model_count(c)
+
+
 # ---------------------------------------------------------------------------
 # Pinned output
 
@@ -393,4 +395,4 @@ def test_compile_output_pinned():
     digest = hashlib.sha256()
     for cnf in _pinned_corpus():
         digest.update(circuit_to_text(compile_cnf(cnf)).encode())
-    assert digest.hexdigest() == "bf520b039d600e10c321dcc7014150d46b3b0b352fcfc02691da61c3da203eef"
+    assert digest.hexdigest() == "2778b28f8448650d46d790709ea4b78b0ac0991fbd7fc043a38d72a7410e0b6c"

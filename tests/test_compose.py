@@ -320,6 +320,16 @@ def test_dag_gathers_across_producers():
     assert out == pytest.approx([0.8 / 4 + 0.4 / 2])
 
 
+def test_dag_input_mixing_structures_is_refused():
+    """One consumer input may not draw symbols produced under two structures."""
+    p = _mod("p", SymTensor(("x",)), SymTensor(("a",)), lambda x: x)
+    q = _mod("q", SymTensor(("y",), "log"), SymTensor(("b",), "log"), lambda y: y)
+    j = _mod("j", SymTensor(("a", "b")), SymTensor(("o",)), lambda v: v[..., :1])
+    with pytest.raises(CompositionError,
+                       match=r"j\[0\] mixes structures \['log_probability', 'probability'\]"):
+        wire_dag([p, q, j], [SymTensor(("x",)), SymTensor(("y",), "log")])
+
+
 def test_dag_cycle_detection():
     m1 = _mod("m1", SymTensor(("b",)), SymTensor(("a",)), lambda x: x)
     m2 = _mod("m2", SymTensor(("a",)), SymTensor(("b",)), lambda x: x)

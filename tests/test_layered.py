@@ -188,6 +188,12 @@ def test_from_probabilities_handles_auxiliaries():
         LeafBatch.from_probabilities([[0.5, 0.5]], num_vars=3, aux_vars={1})
 
 
+def test_from_weights_checks_the_auxiliary_range():
+    with pytest.raises(ValueError, match="top of the id range"):
+        LeafBatch.from_weights([[1.0, 1.0]], [[1.0, 1.0]], aux_vars={5})
+    assert LeafBatch.from_weights([[1.0, 1.0]], [[1.0, 1.0]], aux_vars={2}).aux_vars == {2}
+
+
 def test_from_weights_rejects_negative_and_nan():
     with pytest.raises(CarrierError, match="not >= 0"):
         LeafBatch.from_weights([[1.0, -0.5]], [[1.0, 1.0]])

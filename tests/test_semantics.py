@@ -302,8 +302,11 @@ def test_grad_batched_shape():
 
 
 def test_grad_requires_gradient_rules():
+    """A user table has no gradient rules, so its structure is not
+    differentiable (test_circuit_safety_flags checks the built-in families)."""
     s = fuzzy_structure_from_ops("mine", {"not": lambda x: 1 - x,
                                           "and": lambda x, y: x * y})
+    assert not s.differentiable
     f = to_nnf(_parse("A", ("A",)))
     with pytest.raises(StructureError, match="no gradient rules"):
         fuzzy_value_and_grad(f, s, np.array([0.5]))
