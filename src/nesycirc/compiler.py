@@ -625,7 +625,7 @@ def model_count(c: Circuit) -> int:
                            "variable; smooth the circuit first")
     ones = [[1.0] * c.num_vars]
     batch = LeafBatch.from_weights(ones, ones, aux_vars=c.aux_vars)
-    return _forward(lc, batch.literals, _COUNT)[lc.root_slot, 0]
+    return _forward(lc, batch.literals, _COUNT)[lc.root_slots[0], 0]
 
 
 # ---------------------------------------------------------------------------

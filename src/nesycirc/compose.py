@@ -256,7 +256,7 @@ def reshape_input(m: AnnotatedModule, expected: SymTensor) -> AnnotatedModule:
 
     def compute(value, _perm=np.asarray(perm, dtype=np.int64)):
         arr = np.asarray(value, dtype=np.float64)
-        flat = arr.reshape(arr.shape[:arr.ndim - n_batch_cut] + (-1,))
+        flat = arr.reshape(arr.shape[:arr.ndim - n_batch_cut] + (expected.size,))
         return _run(m, (flat[..., _perm].reshape(flat.shape[:-1] + src.shape),))
 
     records = (("module", m.name, _syms(m.input_spec), _syms(m.output_spec)),
@@ -299,6 +299,9 @@ class _Plan:
                 raise IncompatibleStructures(frm, target.structure)
             self.pair = (frm, target.structure)
         first = self.sources[0] if self.sources else None
+        # what two plans share when they assemble the same array
+        self.signature = (tuple((src.key, src.pos) for src in self.sources), self.pair,
+                          target.shape)
         self.passthrough = (first is not None
                             and all(s.key == first.key for s in self.sources)
                             and first.spec.size == target.size
@@ -312,7 +315,7 @@ class _Plan:
             cols = []
             for src in self.sources:
                 arr = env[src.key]
-                flat = arr.reshape(arr.shape[:arr.ndim - len(src.spec.shape)] + (-1,))
+                flat = arr.reshape(arr.shape[:arr.ndim - len(src.spec.shape)] + (src.spec.size,))
                 cols.append(flat[..., src.pos])
             out = np.stack(cols, axis=-1).reshape(cols[0].shape + self.target.shape) \
                 if self.target.shape else cols[0]
@@ -403,10 +406,18 @@ def wire_dag(modules, external_inputs, *, name: str = "dag") -> AnnotatedModule:
 
     Every consumed symbol must be produced exactly once, by a module output
     or an external input tensor. Execution runs the topological generations
-    in order, and the modules of a generation in name order, one at a time.
-    Output tensors whose symbols are not all consumed internally become
-    composite outputs.
+    in order. Within a generation, the circuit modules (those whose compute
+    is their :class:`~nesycirc.factory.CircuitBackend`) that have the same
+    structure and the same input plan, that is the same sources, positions
+    and structure transformation, run as one group: the plan runs once and
+    the group's circuits run as one forward pass over a multi-root layering
+    built on the DAG's first call (see
+    :func:`~nesycirc.factory.fused_compute`). Every other module runs alone.
+    Groups and modules run in the name order of their first module. Output
+    tensors whose symbols are not all consumed internally become composite
+    outputs.
     """
+    from .factory import CircuitBackend, fused_compute  # factory imports this module
     mods = sorted(modules, key=lambda m: m.name)
     if len({m.name for m in mods}) != len(mods):
         raise CompositionError("module names in a DAG must be unique")
@@ -459,13 +470,26 @@ def wire_dag(modules, external_inputs, *, name: str = "dag") -> AnnotatedModule:
     if not out_specs:
         raise CompositionError("the DAG has no sink outputs")
 
+    # one step per group or lone module: its module names, its input plans,
+    # and a run mapping the plans' arrays to each module's outputs
+    steps = []
+    for gen in generations:
+        groups: dict = {}
+        for n in gen:
+            back = by_name[n].backend
+            circuit = by_name[n].compute is back and isinstance(back, CircuitBackend)
+            groups.setdefault((back.semantics, plans[n][0].signature) if circuit else n,
+                              []).append(n)
+        for key, names in groups.items():
+            run = fused_compute(by_name[n].backend for n in names) if isinstance(key, tuple) \
+                else lambda *arrays, _m=by_name[names[0]]: (_run(_m, arrays),)
+            steps.append((names, plans[names[0]], run))
+
     def compute(*values):
         env: dict = {("x", i): np.asarray(v, dtype=np.float64)
                      for i, v in enumerate(values)}
-
-        for gen in generations:
-            for n in gen:
-                outs = _run(by_name[n], tuple(plan.run(env) for plan in plans[n]))
+        for names, step_plans, run in steps:
+            for n, outs in zip(names, run(*(plan.run(env) for plan in step_plans))):
                 for i, out in enumerate(outs):
                     env[(n, i)] = out
         return tuple(env[key] for key in sink_keys)

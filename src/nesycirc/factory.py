@@ -28,28 +28,82 @@ from .compiler import Circuit, compile_cnf
 from .compose import AnnotatedModule, Manifest, SymTensor, _syms, fresh_symbol
 from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
-from .layered import LayeredCircuit, LeafBatch, evaluate, layerize
+from .layered import (LayeredCircuit, LeafBatch, _underflowed, _values, _warn_underflow,
+                      layerize)
 from .semantics import (Structure, builtin_structures, evaluate_fuzzy,
                         fuzzy_structure_from_ops, get_structure)
 
 __all__ = [
     "Aggregator", "Predicate", "EqualityPredicate", "ModuleFactory",
-    "CircuitBackend", "p_mean", "builtin_aggregators", "load_factory_config",
+    "CircuitBackend", "fused_compute", "p_mean", "builtin_aggregators", "load_factory_config",
 ]
 
 
 @dataclass(frozen=True)
 class CircuitBackend:
-    """Compiled artifacts behind a circuit-backed module.
+    """Compiled artifacts behind a circuit-backed module, and its compute.
 
     Kept on ``AnnotatedModule.backend`` so gradient and loss code can reuse
-    the layered circuit instead of re-deriving it from the CNF.
+    the layered circuit instead of re-deriving it from the CNF. The
+    module's ``compute`` is the backend itself, which is how
+    :func:`~nesycirc.compose.wire_dag` recognises circuit modules it may
+    run together (see :func:`fused_compute`).
     """
 
     cnf: CNF
     circuit: Circuit = field(repr=False)
     layered: LayeredCircuit = field(repr=False)
     structure: str = "probability"
+    # the resolved structure, which may be one a factory added
+    semantics: Structure | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.semantics is None:
+            object.__setattr__(self, "semantics", get_structure(self.structure))
+
+    def __call__(self, values):
+        """The module's value for one row of input values, or one per row."""
+        return _circuit_values(self.layered, self.semantics, values)[..., 0]
+
+
+def fused_compute(backends) -> Callable:
+    """One compute for circuit modules of one structure that read the same
+    input values: it returns each module's outputs, in the order given,
+    from one forward pass.
+
+    The pass runs on a multi-root layering of the modules' circuits, built
+    on the first call and kept; a single module keeps its own. Values are
+    bitwise those of each module called alone.
+    """
+    backends = tuple(backends)
+    s = backends[0].semantics
+    lc = backends[0].layered if len(backends) == 1 else None
+
+    def compute(values):
+        nonlocal lc
+        if lc is None:
+            lc = layerize(*(b.circuit for b in backends))
+        out = _circuit_values(lc, s, values)
+        return [(out[..., k],) for k in range(len(backends))]
+
+    return compute
+
+
+def _circuit_values(lc: LayeredCircuit, s: Structure, values) -> np.ndarray:
+    """Each root's value under ``s`` for module input ``values``: shape
+    (roots,) for one row, (batch, roots) for a batch of rows.
+
+    The structure's ``unleaf`` maps the values back to leaf weights. Warns
+    once per root that underflowed, as a module of that root alone does.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    unbatched = arr.ndim == 1
+    rows = s.semiring.unleaf(arr[None, :] if unbatched else arr)
+    batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+    out = _values(lc, batch, s)
+    for lost in _underflowed(lc, batch.literals, out, s.semiring.zero):
+        _warn_underflow([lost], stacklevel=2)
+    return out[0] if unbatched else out
 
 
 def p_mean(x, p: float = 6.0, axis: int = -1) -> np.ndarray:
@@ -269,7 +323,7 @@ class ModuleFactory:
         in_spec = SymTensor(symbols, structure=s, shape=(n,))
         out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
-            compute, back = self._circuit_compute(to_cnf(nnf, num_vars=n), s)
+            compute = back = self._circuit_backend(to_cnf(nnf, num_vars=n), s)
         else:
             compute, back = _fuzzy_compute(nnf, s, n), None
         return AnnotatedModule(name, (in_spec,), (out_spec,), compute, backend=back)
@@ -288,7 +342,7 @@ class ModuleFactory:
         in_spec = SymTensor(symbols, structure=s, shape=(cnf.n_inputs,))
         out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
-            compute, back = self._circuit_compute(cnf, s)
+            compute = back = self._circuit_backend(cnf, s)
         else:
             if cnf.aux_vars:
                 raise StructureError("fuzzy structures evaluate the original formula; "
@@ -296,25 +350,12 @@ class ModuleFactory:
             compute, back = _fuzzy_compute(cnf_to_formula(cnf), s, cnf.num_vars), None
         return AnnotatedModule(name, (in_spec,), (out_spec,), compute, backend=back)
 
-    def _circuit_compute(self, cnf: CNF, s: Structure):
+    def _circuit_backend(self, cnf: CNF, s: Structure) -> CircuitBackend:
         compiled = self._compiled.get(cnf)
         if compiled is None:
             circuit = compile_cnf(cnf)
             compiled = self._compiled[cnf] = circuit, layerize(circuit)
-        circuit, lc = compiled
-        back = CircuitBackend(cnf, circuit, lc, s.name)
-
-        def compute(values):
-            arr = np.asarray(values, dtype=np.float64)
-            unbatched = arr.ndim == 1
-            rows = arr[None, :] if unbatched else arr
-            rows = s.semiring.unleaf(rows)
-            batch = LeafBatch.from_probabilities(rows, num_vars=cnf.num_vars,
-                                                 aux_vars=cnf.aux_vars)
-            out = evaluate(lc, batch, s)
-            return out[0] if unbatched else out
-
-        return compute, back
+        return CircuitBackend(cnf, *compiled, s.name, s)
 
 
 def _single_output(m: AnnotatedModule) -> SymTensor:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -63,11 +64,14 @@ class CNF:
     aux_vars: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         object.__setattr__(self, "aux_vars", frozenset(self.aux_vars))
         problem = _var_range_problem(self.num_vars, self.aux_vars)
         if problem:
             raise ValueError(problem)
+        if _clauses_ok(self.clauses, self.num_vars):
+            return
+        # name the first offending clause and literal
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause; use the unsat marker instead")
@@ -83,6 +87,31 @@ class CNF:
     def n_inputs(self) -> int:
         """Number of non-auxiliary variables."""
         return self.num_vars - len(self.aux_vars)
+
+
+def _clauses_ok(clauses: tuple[tuple[int, ...], ...], num_vars: int) -> bool:
+    """Whether every clause is nonempty, has its literals in ``±1..num_vars``
+    and is no tautology, checked in numpy rather than literal by literal.
+
+    Each literal gets the key ``2 * (clause * (num_vars + 1) + |lit|)``
+    plus one if it is positive; sorted, a tautology shows as two neighbours
+    that differ in the last bit alone.
+    """
+    lens = np.fromiter(map(len, clauses), np.int64, len(clauses))
+    try:
+        lits = np.fromiter(chain.from_iterable(clauses), np.int64, int(lens.sum()))
+    except (OverflowError, TypeError, ValueError):
+        return False
+    mag = np.abs(lits)
+    if not lens.all() or mag.size and (not mag.min() or mag.max() > num_vars):
+        return False
+    step = 2 * (num_vars + 1)
+    keys = np.repeat(np.arange(0, step * len(clauses), step), lens)
+    keys += mag
+    keys += mag
+    keys += lits > 0
+    keys.sort()
+    return not ((keys[1:] ^ keys[:-1]) == 1).any()
 
 
 # Per-node variable bitmasks and smoothing's padding grow with the square of

@@ -82,6 +82,25 @@ five tiles of 1638 or 1639 at 8192 rows): 8 MiB was the fastest and kept
 the 1024-row batch whole; the 4000-variable chain at 1024 rows (64 tiles
 of 16) ran within noise of the wider tiles of larger budgets.
 
+Several circuits over the same inputs layerize into one table with one
+root slot per circuit (``root_slots``), so one pass of the loops above
+evaluates them all; :func:`~nesycirc.compose.wire_dag` runs its circuit
+modules that read one input this way. Each circuit keeps its own inner
+nodes, and nodes of equal depth and kind share a layer whichever circuit
+they come from. The leaf layer is shared: a literal or constant that
+several circuits read takes one slot. Auxiliary variables occupy the top
+of every circuit's id range and weigh one on both literals, so the table
+declares the largest circuit's variables and each circuit reads its
+variable ``v`` from the same literal columns as it does alone, auxiliary
+columns included. Every node reduces its children in the same order as in
+its own table, and the layouts pad only with identities, so each root's
+values are bitwise those of its circuit layerized alone. :func:`evaluate`
+returns one column per root, and :func:`backward` takes a table with one
+root. The forward buffer holds the slots of every circuit at once: the
+four formulas of the benchmark's ``modules`` workload fill 949 slots in 42
+layers, against 1141 slots in four tables of 29 to 37 layers, so at 256
+rows their buffer is (949 + 2) x 256 x 8 B = 1.9 MB.
+
 Supported structures are the circuit-safe ones: ``probability`` (weighted
 model counting), ``boolean`` (satisfaction indicator on 0/1 weights), and
 ``log_probability`` (log-WMC; sum layers reduce with ``logaddexp`` and an
@@ -104,12 +123,13 @@ finite gradients. A row with zero WMC has none: NaN in every column.
 Under ``probability`` a large circuit's WMC can underflow to zero.
 :func:`evaluate` and :func:`backward` then raise a ``RuntimeWarning`` that
 names the rows and points to ``log_probability``: a row warns when its
-root reads the semiring zero while none of its leaf slots does, as a
-smooth d-DNNF without FALSE leaves is satisfiable and so has a nonzero
-true value. Exact zeros (a zero leaf weight, an unsatisfiable formula's
-FALSE constant) never warn, and under log and boolean a zero root always
-has a zero leaf. A tiled batch warns once, with the rows numbered in the
-whole batch.
+root reads the semiring zero while none of the leaf weights its circuit
+reads is zero, as a smooth d-DNNF without FALSE leaves is satisfiable and
+so has a nonzero true value. Exact zeros (a zero leaf weight, an
+unsatisfiable formula's FALSE constant) never warn, and under log and
+boolean a zero root always has a zero leaf. A tiled batch warns once per
+root that underflowed, with the rows numbered in the whole batch; a table
+of several roots names the root.
 """
 
 from __future__ import annotations
@@ -118,7 +138,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -170,13 +190,17 @@ class LayeredCircuit:
     num_vars: int
     aux_vars: frozenset[int]
     n_slots: int
-    root_slot: int
+    # one slot per layered circuit, in the order layerize took them
+    root_slots: np.ndarray
     layers: tuple[Layer, ...]
     # each leaf slot's column in LeafBatch.literals, strictly increasing
     leaf_cols: np.ndarray
     # every edge's child slot, by parent slot and then place among the
     # parent's children; the layouts are built from these
     child_slots: np.ndarray
+    # per root, a mask of the LeafBatch.literals columns that its circuit's
+    # leaves read, shape (roots, 2 * num_vars + 2); see _underflowed
+    root_cols: np.ndarray
 
     @property
     def n_inputs(self) -> int:
@@ -199,16 +223,65 @@ class LayeredCircuit:
         return self._bucketed if batch_size >= BUCKETED_FROM else self._merged
 
 
-def layerize(c: Circuit) -> LayeredCircuit:
-    """Stratify a smooth deterministic decomposable circuit into layers.
+def layerize(*circuits: Circuit) -> LayeredCircuit:
+    """Stratify smooth deterministic decomposable circuits into one table of
+    layers, with one root slot per circuit.
 
-    Builds neither layout: each is built on the first batch that runs on it.
+    Several circuits must have the same inputs; see the module notes. Builds
+    neither layout: each is built on the first batch that runs on it.
     """
-    check_properties(c).require("decomposable", "deterministic", "smooth")
-    nodes, nv = c.nodes, c.num_vars
+    if not circuits:
+        raise ValueError("layerize needs at least one circuit")
+    for c in circuits:
+        check_properties(c).require("decomposable", "deterministic", "smooth")
+    inputs = {c.n_inputs for c in circuits}
+    if len(inputs) > 1:
+        raise ValueError(f"circuits layered together must share their inputs; "
+                         f"they have {sorted(inputs)} input variables")
+    nv = max(c.num_vars for c in circuits)
+    # rank is LEAF, PROD, SUM; key the fan-in, or a leaf's column in
+    # LeafBatch.literals
+    depth, rank_n, key_n = map(np.concatenate,
+                               zip(*(_node_keys(c.nodes, nv) for c in circuits)))
+    sizes = [len(c.nodes) for c in circuits]
+    base = [0, *accumulate(sizes[:-1])]
+    order = np.lexsort((key_n, rank_n, depth))
+    # a leaf repeating the literal or constant sorted before it shares its slot
+    fresh = np.concatenate(([True], (rank_n[order[1:]] > 0)
+                            | (key_n[order[1:]] != key_n[order[:-1]])))
+    slot_of = np.empty(len(rank_n), np.int64)
+    slot_of[order] = np.cumsum(fresh) - 1
+    order = order[fresh]
+    n = len(order)
+    fan_n = np.where(rank_n > 0, key_n, 0)
+    fan, rank_s, key_s = fan_n[order], rank_n[order], key_n[order]
+    bounds = [*_runs(3 * depth[order] + rank_s).tolist(), n]
+    layers = tuple(Layer(("LEAF", "PROD", "SUM")[rank_s[lo]], hi - lo, fan[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:]))
+    n_edges = int(fan.sum())
+    first = np.cumsum(fan) - fan
+    node_first = np.cumsum(fan_n) - fan_n
+    flat = np.fromiter(chain.from_iterable(node.children for c in circuits for node in c.nodes),
+                       np.int64, int(fan_n.sum()))
+    if len(circuits) > 1:  # children are numbered within their circuit
+        flat += np.repeat(np.repeat(base, sizes), fan_n)
+    kids = slot_of[flat[np.repeat(node_first[order] - first, fan) + np.arange(n_edges)]]
+    root_cols = np.zeros((len(circuits), 2 * nv + 2), bool)
+    root_cols[np.repeat(np.arange(len(circuits)), sizes)[rank_n == 0], key_n[rank_n == 0]] = True
+    return LayeredCircuit(
+        num_vars=nv, aux_vars=frozenset(range(inputs.pop() + 1, nv + 1)), n_slots=n,
+        root_slots=slot_of[[b + c.root for b, c in zip(base, circuits)]],
+        layers=layers, leaf_cols=key_s[:layers[0].size], child_slots=kids,
+        root_cols=root_cols,
+    )
+
+
+def _node_keys(nodes, nv: int) -> tuple[list[int], list[int], list[int]]:
+    """Each node's depth, rank and key (see layerize), its leaves keyed by
+    their columns in a literal table of ``nv`` variables."""
     depth = [0] * len(nodes)
-    rank = [0] * len(nodes)  # LEAF, PROD, SUM
-    key = [0] * len(nodes)  # fan-in; for a leaf its column in LeafBatch.literals
+    rank = [0] * len(nodes)
+    key = [0] * len(nodes)
     for i, node in enumerate(nodes):
         kind = node.kind
         if kind in ("AND", "OR"):
@@ -219,29 +292,7 @@ def layerize(c: Circuit) -> LayeredCircuit:
             key[i] = node.literal - 1 if node.literal > 0 else nv - node.literal - 1
         else:
             key[i] = 2 * nv if kind == "TRUE" else 2 * nv + 1
-    rank_n, key_n = np.asarray(rank), np.asarray(key)
-    order = np.lexsort((key_n, rank_n, depth))
-    # a leaf repeating the literal or constant sorted before it shares its slot
-    fresh = np.concatenate(([True], (rank_n[order[1:]] > 0)
-                            | (key_n[order[1:]] != key_n[order[:-1]])))
-    slot_of = np.empty(len(nodes), np.int64)
-    slot_of[order] = np.cumsum(fresh) - 1
-    order = order[fresh]
-    n = len(order)
-    fan_n = np.where(rank_n > 0, key_n, 0)
-    fan, rank_s, key_s = fan_n[order], rank_n[order], key_n[order]
-    bounds = [*_runs(3 * np.asarray(depth)[order] + rank_s).tolist(), n]
-    layers = tuple(Layer(("LEAF", "PROD", "SUM")[rank_s[lo]], hi - lo, fan[lo:hi])
-                   for lo, hi in zip(bounds, bounds[1:]))
-    n_edges = int(fan.sum())
-    first = np.cumsum(fan) - fan
-    node_first = np.cumsum(fan_n) - fan_n
-    flat = np.fromiter(chain.from_iterable(node.children for node in nodes), np.int64, n_edges)
-    kids = slot_of[flat[np.repeat(node_first[order] - first, fan) + np.arange(n_edges)]]
-    return LayeredCircuit(
-        num_vars=nv, aux_vars=c.aux_vars, n_slots=n, root_slot=int(slot_of[c.root]),
-        layers=layers, leaf_cols=key_s[:layers[0].size], child_slots=kids,
-    )
+    return depth, rank, key
 
 
 def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
@@ -252,7 +303,7 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     identity, in the forward and the reverse buffer alike.
     """
     layers, n, n_leaves = lc.layers, lc.n_slots, lc.n_leaves
-    root, kids = lc.root_slot, lc.child_slots
+    roots, kids = lc.root_slots, lc.child_slots
     one, zero = n, n + 1
     prod = np.array([layer.kind == "PROD" for layer in layers])
     fan = np.concatenate([layer.seg_lengths for layer in layers])
@@ -277,13 +328,12 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     # a sum edge's adjoint is its parent's
     row = np.where(is_prod[bucket], first_row[bucket] + position * m[bucket] + j, parent)
 
-    # pulls: every slot's in-edges, the root's pinned to the one row and
+    # pulls: every slot's in-edges, the roots' pinned to the one row and
     # those of unreachable slots to the zero row
     indeg = np.bincount(kids, minlength=n)
-    orphans = np.flatnonzero(indeg == 0)
-    orphans = orphans[orphans != root]
-    child = np.concatenate([kids, [root], orphans])
-    src = np.concatenate([row, [one], np.full(len(orphans), zero)])
+    orphans = np.setdiff1d(np.flatnonzero(indeg == 0), roots)
+    child = np.concatenate([kids, roots, orphans])
+    src = np.concatenate([row, np.full(len(roots), one), np.full(len(orphans), zero)])
     indeg = np.bincount(child, minlength=n)
     by_child = np.argsort(child, kind="stable")
     child, src = child[by_child], src[by_child]
@@ -330,7 +380,11 @@ def _blocks(block, col, row, value, height, width, pad) -> list[np.ndarray]:
 
 
 def layer_summary(lc: LayeredCircuit) -> str:
-    lines = [f"slots {lc.n_slots} layers {len(lc.layers)} root_slot {lc.root_slot}"]
+    """The slot and layer counts, the root slot (``root_slots`` and every
+    root when there are several), then each layer's kind and size."""
+    roots = " ".join(map(str, lc.root_slots.tolist()))
+    name = "root_slot" if len(lc.root_slots) == 1 else "root_slots"
+    lines = [f"slots {lc.n_slots} layers {len(lc.layers)} {name} {roots}"]
     for k, layer in enumerate(lc.layers):
         lines.append(f"layer {k} {layer.kind} size {layer.size}")
     return "\n".join(lines)
@@ -467,25 +521,38 @@ def _forward(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring) -> np.ndarr
     return buf
 
 
-def _underflowed(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
-    """The rows of a forward buffer whose value underflowed to zero.
+def _underflowed(lc: LayeredCircuit, literals: np.ndarray, values: np.ndarray,
+                 zero: float) -> list[np.ndarray]:
+    """Per root, the rows whose value underflowed to zero; an empty list
+    when no value reads ``zero``.
 
-    A smooth d-DNNF is satisfiable unless it has a FALSE leaf, so a row
-    whose root reads the semiring zero while none of its leaf slots does
-    has a nonzero true value that was lost to rounding.
+    ``values`` holds each root's value per row of the literal table, shape
+    (batch, roots). A smooth d-DNNF is satisfiable unless it has a FALSE
+    leaf, so a row whose root reads the semiring zero while none of the
+    leaf weights of the root's circuit is zero (a leaf reads the semiring
+    zero exactly when its weight is zero) has a nonzero true value that
+    was lost to rounding.
     """
-    rows = np.flatnonzero(buf[lc.root_slot] == sr.zero)
-    return rows[~(buf[:lc.n_leaves, rows] == sr.zero).any(axis=0)] if rows.size else rows
+    lost = values == zero
+    if not lost.any():
+        return []
+    rows = [np.flatnonzero(column) for column in lost.T]
+    return [r[(literals[r][:, cols] != 0.0).all(axis=1)]
+            for r, cols in zip(rows, lc.root_cols)]
 
 
-def _warn_underflow(rows: np.ndarray, stacklevel: int) -> None:
-    """One warning naming ``rows``, if any; ``stacklevel`` counts from the
-    caller, as in ``warnings.warn``."""
-    if rows.size:
-        shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
-        warnings.warn(f"the circuit value underflowed to zero in {rows.size} batch row(s) "
-                      f"({shown}) whose leaf weights are all nonzero; evaluate under "
-                      f"'log_probability' instead", RuntimeWarning, stacklevel=stacklevel + 1)
+def _warn_underflow(lost: list[np.ndarray], stacklevel: int) -> None:
+    """One warning per root of ``lost`` (see _underflowed) that has a row,
+    naming the rows, and the root when there are several; ``stacklevel``
+    counts from the caller, as in ``warnings.warn``."""
+    for k, rows in enumerate(lost):
+        if rows.size:
+            root = f" of root {k}" if len(lost) > 1 else ""
+            shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
+            warnings.warn(f"the circuit value{root} underflowed to zero in {rows.size} batch "
+                          f"row(s) ({shown}) whose leaf weights are all nonzero; evaluate "
+                          f"under 'log_probability' instead", RuntimeWarning,
+                          stacklevel=stacklevel + 1)
 
 
 def _tiles(lc: LayeredCircuit, batch_size: int) -> list[slice]:
@@ -503,43 +570,47 @@ def _tiles(lc: LayeredCircuit, batch_size: int) -> list[slice]:
 def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
     """``run``'s outputs for every row of a literal table, computed tile by tile.
 
-    ``run(lc, tile, sr)`` takes a row block of the table and returns the
-    block's underflowed rows, then arrays with one entry per row along axis
-    0; those come back for the whole table, the rows numbered in it.
+    ``run(lc, tile, sr)`` takes a row block of the table and returns a
+    tuple of arrays with one entry per row along axis 0; those come back
+    for the whole table.
     """
     tiles = _tiles(lc, len(literals))
     if len(tiles) == 1:
         return run(lc, literals, sr)
-    lost, outs = [], None
+    outs = None
     for tile in tiles:
-        rows, *parts = run(lc, literals[tile], sr)
-        lost.append(rows + tile.start)
+        parts = run(lc, literals[tile], sr)
         if outs is None:
             outs = [np.empty_like(part, shape=(len(literals), *part.shape[1:]))
                     for part in parts]
         for out, part in zip(outs, parts):
             out[tile] = part
-    return np.concatenate(lost), *outs
+    return tuple(outs)
 
 
 def _tile_values(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring):
-    buf = _forward(lc, literals, sr)
-    return _underflowed(lc, buf, sr), buf[lc.root_slot].copy()
+    return (_forward(lc, literals, sr)[lc.root_slots].T,)
+
+
+def _values(lc: LayeredCircuit, batch: LeafBatch, s) -> np.ndarray:
+    """Each root's value per batch row, shape (batch, roots)."""
+    _check_compatible(lc, batch, s)
+    return _by_tiles(lc, batch.literals, s.semiring, _tile_values)[0]
 
 
 def evaluate(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> np.ndarray:
-    """One value per batch row: WMC, log-WMC, or a 0/1 satisfaction flag.
+    """One value per batch row and root: WMC, log-WMC, or a 0/1 satisfaction flag.
 
+    The shape is (batch,) for one root and (batch, roots) for several.
     Warns (``RuntimeWarning``) naming the rows whose value underflowed to
-    zero; see the module notes. A large batch runs in column tiles, so
-    beyond the batch and the output its working memory does not grow with
-    the number of rows.
+    zero, once per root that did; see the module notes. A large batch runs
+    in column tiles, so beyond the batch and the output its working memory
+    does not grow with the number of rows.
     """
     s = get_structure(structure)
-    _check_compatible(lc, batch, s)
-    lost, values = _by_tiles(lc, batch.literals, s.semiring, _tile_values)
-    _warn_underflow(lost, stacklevel=2)
-    return values
+    values = _values(lc, batch, s)
+    _warn_underflow(_underflowed(lc, batch.literals, values, s.semiring.zero), stacklevel=2)
+    return values if len(lc.root_slots) > 1 else values[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +663,23 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
     s = get_structure(structure)
     if not s.differentiable:
         raise StructureError(f"structure {s.name!r} is not differentiable")
+    if len(lc.root_slots) > 1:
+        raise ValueError(f"backward takes a circuit with one root, this one has "
+                         f"{len(lc.root_slots)}")
     _check_compatible(lc, batch, s)
     if batch.probs is None:
         raise ValueError("gradients are taken w.r.t. probabilities; "
                          "build the batch with LeafBatch.from_probabilities")
-    lost, values, grad = _by_tiles(lc, batch.literals, s.semiring, _tile_values_and_grads)
-    _warn_underflow(lost, stacklevel=3)
+    values, grad = _by_tiles(lc, batch.literals, s.semiring, _tile_values_and_grads)
+    _warn_underflow(_underflowed(lc, batch.literals, values[:, None], s.semiring.zero),
+                    stacklevel=3)
     return values, grad
 
 
 def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring):
     B = len(literals)
     buf = _forward(lc, literals, sr)
-    root = buf[lc.root_slot]
+    root = buf[lc.root_slots[0]]
     layout = lc._layout_for(B)
     adj = np.empty((layout.n_rows, B))
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
@@ -630,7 +705,7 @@ def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semirin
     for slots, rows in layout.pulls[0]:
         adj[slots] = sr.finish(adj[rows[0]], root) if len(rows) == 1 else \
             _reduce(np.add, sr.finish(adj[rows], root))
-    return _underflowed(lc, buf, sr), root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
+    return root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
 
 
 # ---------------------------------------------------------------------------

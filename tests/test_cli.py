@@ -18,7 +18,7 @@ from nesycirc.cli import main
 from nesycirc.formula import MAX_VARS, serialize_dimacs
 from nesycirc.tasks import build_addition
 
-from test_compiler import UNSMOOTH
+from test_compiler import OUT_OF_ORDER, UNSMOOTH
 from test_formula import EX1
 
 FORMULA = "(A -> B) & (C -> B)"
@@ -411,6 +411,20 @@ def test_childless_and_fails_at_load(command, tmp_path, weights_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error[format]: {bad}: node 0: AND without children\n"
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("name, node, child", [
+    ("self", 0, 0), ("forward", 1, 2), ("cycle", 0, 1)])
+def test_out_of_order_nodes_fail_at_load(command, name, node, child, tmp_path,
+                                         weights_file, capsys):
+    bad = tmp_path / "bad.nnfc"
+    bad.write_text(OUT_OF_ORDER[name])
+    argv = [command, "--circuit", str(bad)]
+    assert main(argv if command == "check" else argv + ["--weights", weights_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[format]: {bad}: node {node}: child {child} not topologically earlier\n"
 
 
 @pytest.mark.parametrize("command", [

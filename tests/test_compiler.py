@@ -317,6 +317,17 @@ def test_file_round_trip_ignores_comments(tmp_path, ex1):
     assert back.nodes == c.nodes
 
 
+# Node tables whose children do not all come before their parents, as
+# multi-root layering and every other pass over the table assume: a node
+# that is its own child, one that names a later node, and a two-node cycle.
+OUT_OF_ORDER = {
+    "self": "nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnode 0 AND 0\n",
+    "forward": "nnfc 1\nnvars 1\naux\nnnodes 3\nroot 1\nnode 0 LIT 1\nnode 1 AND 2\n"
+               "node 2 AND 0\n",
+    "cycle": "nnfc 1\nnvars 1\naux\nnnodes 2\nroot 1\nnode 0 AND 1\nnode 1 AND 0\n",
+}
+
+
 @pytest.mark.parametrize("text, match", [
     ("nnf 2\n", "header"),
     ("nnfc 1\nnvars 1\naux\nnnodes 1\nroot 0\nnode 0 XOR 1", "kind"),
@@ -336,6 +347,7 @@ def test_file_round_trip_ignores_comments(tmp_path, ex1):
      "malformed header line 'nvars 5'"),
     ("nnfc 1\nnvars 1\naux\nfoo bar\nnnodes 1\nroot 0\nnode 0 TRUE",
      "malformed header line 'foo bar'"),
+    *((text, "not topologically earlier") for text in OUT_OF_ORDER.values()),
 ])
 def test_bad_circuit_text_is_rejected(text, match):
     with pytest.raises(CircuitError, match=match):

@@ -1,13 +1,20 @@
 """Symbolic tensor specs, module validation, and DAG wiring."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from nesycirc import layered
 from nesycirc.compose import (AnnotatedModule, Manifest, SymTensor, Violation,
                               chain, fresh_symbol, identity_module,
                               load_manifest, manifest_for, reshape_input,
                               save_manifest, validate, wire_dag)
 from nesycirc.errors import CompositionError, IncompatibleStructures, StructureError
+from nesycirc.factory import ModuleFactory
+from nesycirc.formula import CNF, make_name_table, parse_formula
+from nesycirc.semantics import transform
 
 
 def _mod(name, ins, outs, fn):
@@ -392,6 +399,92 @@ def test_dag_passthrough_keeps_whole_tensor():
              lambda v: v[::-1].copy())
     out = wire_dag([m], [ext])(np.array([0.2, 0.8]))
     assert out == pytest.approx([0.8, 0.2])
+
+
+# ---------------------------------------------------------------------------
+# Circuit modules that share an input plan
+
+
+def _renamed(m):
+    """``m`` with an output symbol of its own, as a DAG needs."""
+    out = m.output_spec[0]
+    return replace(m, output_spec=(SymTensor(f"{m.name}.score", structure=out.structure),))
+
+
+def _formula_dag():
+    """Probability, log and fuzzy modules of two formulas over A, B and C,
+    the second with more Tseitin auxiliaries than the first, and one
+    probability module that reads the inputs in another order."""
+    factory = ModuleFactory()
+    mods = []
+    for k, text in enumerate(("({A} -> {B}) & ({C} | {A})", "({A} & ~{B}) | ({C} <-> {A})")):
+        for tag, prefix in (("probability", ""), ("log_probability", ""),
+                            ("fuzzy_product", "f")):
+            names = [prefix + n for n in "ABC"]
+            f = parse_formula(text.format(**dict(zip("ABC", names))), make_name_table(names))
+            mods.append(_renamed(factory.build_formula_module(f, tag, name=f"f{k}_{tag}")))
+    f = parse_formula("B & (A | C)", make_name_table(["B", "A", "C"]))
+    mods.append(_renamed(factory.build_formula_module(f, "probability", name="bac")))
+    return wire_dag(mods, [SymTensor(list("ABC")), SymTensor(["fA", "fB", "fC"],
+                                                                "fuzzy_product")]), mods
+
+
+def _bits(x):
+    return np.asarray(x, np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[0.5, 0.5, 0.5], [0.9, 0.2, 0.1], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    np.array([0.9, 0.2, 0.1]),
+    np.empty((0, 3)),
+], ids=["batch", "one-row", "no-rows"])
+def test_dag_outputs_equal_each_module_called_alone(rows):
+    dag, mods = _formula_dag()
+    by_output = {m.output_spec[0].symbols[0]: m for m in mods}
+    for out, spec in zip(dag(rows, rows), dag.output_spec):
+        m = by_output[spec.symbols[0]]
+        x = rows[..., ["ABC".index(s[-1]) for s in m.input_spec[0].symbols]]
+        if m.input_spec[0].structure == "log_probability":
+            x = transform(x, "probability", "log_probability")
+        want = m(x)
+        assert out.shape == want.shape == rows.shape[:-1]
+        assert np.array_equal(_bits(out), _bits(want))
+
+
+def test_dag_runs_one_forward_per_structure_and_input_plan(monkeypatch):
+    """The two formulas' probability modules run as one two-root pass, and
+    so do their log modules; the module reading B, A, C runs alone."""
+    dag, _ = _formula_dag()
+    roots, real = [], layered._forward
+
+    def counted(lc, literals, sr):
+        roots.append(len(lc.root_slots))
+        return real(lc, literals, sr)
+
+    monkeypatch.setattr(layered, "_forward", counted)
+    rows = np.array([[0.5, 0.5, 0.5], [0.9, 0.2, 0.1]])
+    for _ in range(2):
+        roots.clear()
+        dag(rows, rows)
+        assert sorted(roots) == [1, 2, 2]
+
+
+def test_dag_warns_once_per_module_that_underflowed():
+    """1e-5 ** 70 underflows and 1e-5 ** 30 does not: one warning, the one
+    the 70-unit module gives alone."""
+    factory = ModuleFactory()
+    mods = [_renamed(factory.module_from_dimacs(
+        CNF(70, tuple((v,) for v in range(1, k + 1))), name=f"units{k}")) for k in (70, 30)]
+    dag = wire_dag(mods, [SymTensor([f"v{i}" for i in range(1, 71)])])
+    rows = np.full((2, 70), [[1e-5], [0.5]])
+    messages = []
+    for call in (lambda: dag(rows), lambda: [m(rows) for m in mods]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        messages.append([str(w.message) for w in caught])
+    assert messages[0] == messages[1]
+    assert len(messages[0]) == 1 and "1 batch row(s) (0)" in messages[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,21 @@ def test_cnf_rejects_empty_clause_and_bad_literals():
         CNF(MAX_VARS + 1, ())
 
 
+@pytest.mark.parametrize("clauses, message", [
+    (((1, 2), (2, 0, 5)), "literal 0 out of range for 3 variables"),
+    (((1, 2), (-2, 3), (2, -4, 1, -2)), "literal -4 out of range for 3 variables"),
+    (((1, 2), (3, 1, -3, 4)), "tautological clause (3, 1, -3, 4)"),
+    (((1, 2), (1, -1), (9,)), "tautological clause (1, -1)"),
+    (((1,), (2, 2), ()), "empty clause; use the unsat marker instead"),
+], ids=["zero", "out-of-range", "tautology-first-in-clause", "first-bad-clause", "empty"])
+def test_cnf_names_the_first_offending_clause(clauses, message):
+    """The check runs on the whole clause set at once; the message still
+    names the first bad clause, and in it the first bad literal."""
+    with pytest.raises(ValueError) as exc:
+        CNF(3, clauses)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Formula parsing
 

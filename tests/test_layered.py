@@ -46,8 +46,10 @@ def test_layer_order_and_kinds(ex1_layered):
     kinds = {layer.kind for layer in lc.layers}
     assert kinds <= {"LEAF", "PROD", "SUM"}
     # within a depth level products come before sums, and the root is last
-    assert lc.root_slot == lc.n_slots - 1
-    assert "slots" in layer_summary(lc)
+    assert lc.root_slots.tolist() == [lc.n_slots - 1]
+    # the first comment line of a compiled circuit file
+    assert layer_summary(lc).splitlines()[0] == \
+        f"slots {lc.n_slots} layers {len(lc.layers)} root_slot {lc.n_slots - 1}"
 
 
 def test_layerize_requires_smoothness():
@@ -642,6 +644,82 @@ def test_tiles_agree_bitwise_on_sum_999():
     rows = _rows(np.random.default_rng(18), 60, b=TILED_ROWS, lo=0.02, hi=0.98)
     rows[:5] = np.round(rows[:5])  # corners: zero counts and NaN log gradients
     _assert_tiles_agree(m, rows)
+
+
+# ---------------------------------------------------------------------------
+# Several circuits in one layering
+
+
+@st.composite
+def cnf_pairs(draw):
+    """Two CNFs from ``cnfs()`` over the same inputs. Each gets up to two
+    auxiliaries that copy an input literal, and may be unsatisfiable."""
+    first, second = draw(cnfs()), draw(cnfs())
+    n = max(first.num_vars, second.num_vars)
+    pair = []
+    for cnf in (first, second):
+        copied = draw(st.lists(st.integers(1, n), max_size=2))
+        signs = draw(st.lists(st.booleans(), min_size=len(copied), max_size=len(copied)))
+        aux = range(n + 1, n + len(copied) + 1)
+        if draw(st.integers(0, 3)) == 0:
+            pair.append(CNF(n + len(copied), (), unsat=True, aux_vars=aux))
+            continue
+        links = tuple(clause for a, v, pos in zip(aux, copied, signs)
+                      for clause in ((-a, v if pos else -v), (a, -v if pos else v)))
+        pair.append(CNF(n + len(copied), cnf.clauses + links, aux_vars=aux))
+    return pair
+
+
+@settings(max_examples=60)
+@given(cnf_pairs(), st.integers(0, 2 ** 32 - 1))
+def test_multi_root_values_equal_each_circuit_alone(pair, seed):
+    """Shared leaf and auxiliary columns change no bit of any root's value,
+    in one tile or in several."""
+    circuits = [compile_cnf(cnf) for cnf in pair]
+    fused = layerize(*circuits)
+    alone = [layerize(c) for c in circuits]
+    assert fused.num_vars == max(c.num_vars for c in circuits)
+    rows = _corner_rows(np.random.default_rng(seed), TILED_ROWS, pair[0].n_inputs)
+    assert len(_with_budget(1, _tiles, fused, TILED_ROWS)) == 3
+    for s, r in (("probability", rows), ("log", rows), ("boolean", np.round(rows))):
+        want = [evaluate(lc, LeafBatch.from_probabilities(
+            r, num_vars=lc.num_vars, aux_vars=lc.aux_vars), s) for lc in alone]
+        batch = LeafBatch.from_probabilities(r, num_vars=fused.num_vars,
+                                             aux_vars=fused.aux_vars)
+        for budget in (1, 1 << 62):
+            got = _with_budget(budget, evaluate, fused, batch, s)
+            assert got.shape == (TILED_ROWS, 2)
+            for k in range(2):
+                assert np.array_equal(got[:, k].view(np.uint64), want[k].view(np.uint64))
+
+
+def test_multi_root_layering_shares_leaves_and_warns_per_root():
+    units = compile_cnf(CNF(70, tuple((v,) for v in range(1, 71))))
+    few = compile_cnf(CNF(70, tuple((v,) for v in range(1, 31))))
+    lc = layerize(units, few)
+    # `few` pads variables 31..70 with both literals, so it has every leaf of `units`
+    assert lc.n_leaves == layerize(few).n_leaves == 70 + 40
+    assert layer_summary(lc).splitlines()[0] == \
+        f"slots {lc.n_slots} layers {len(lc.layers)} root_slots " \
+        + " ".join(map(str, lc.root_slots.tolist()))
+    # 1e-5 ** 70 underflows, 1e-5 ** 30 does not; in the last row the
+    # literal -70 weighs zero, which `units` does not read
+    rows = np.full((4, 70), [[1e-5], [0.5], [1e-5], [1e-5]])
+    rows[3, 69] = 1.0
+    batch = LeafBatch.from_probabilities(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = evaluate(lc, batch)
+    assert [str(w.message).split(" whose")[0] for w in caught] == [
+        "the circuit value of root 0 underflowed to zero in 3 batch row(s) (0, 2, 3)"]
+    assert np.array_equal(values[:, 1], evaluate(layerize(few), batch))
+    assert evaluate(lc, LeafBatch.from_probabilities(np.empty((0, 70)))).shape == (0, 2)
+    with pytest.raises(ValueError, match="backward takes a circuit with one root, this one has 2"):
+        backward(lc, batch)
+    with pytest.raises(ValueError, match=r"must share their inputs; they have \[3, 70\]"):
+        layerize(units, compile_cnf(CNF(4, ((1, 2),), aux_vars={4})))
+    with pytest.raises(ValueError, match="at least one circuit"):
+        layerize()
 
 
 def test_zero_row_batches_keep_their_shapes():
