@@ -411,8 +411,10 @@ def wire_dag(modules, external_inputs, *, name: str = "dag") -> AnnotatedModule:
     structure and the same input plan, that is the same sources, positions
     and structure transformation, run as one group: the plan runs once and
     the group's circuits run as one forward pass over a multi-root layering
-    built on the DAG's first call (see
-    :func:`~nesycirc.factory.fused_compute`). Every other module runs alone.
+    built on the DAG's first call and shared by every group of the same
+    circuits, such as the probability and log modules of the same formulas
+    (see :func:`~nesycirc.factory.fused_compute`). Every other module runs
+    alone.
     Groups and modules run in the name order of their first module. Output
     tensors whose symbols are not all consumed internally become composite
     outputs.
@@ -471,8 +473,9 @@ def wire_dag(modules, external_inputs, *, name: str = "dag") -> AnnotatedModule:
         raise CompositionError("the DAG has no sink outputs")
 
     # one step per group or lone module: its module names, its input plans,
-    # and a run mapping the plans' arrays to each module's outputs
-    steps = []
+    # and a run mapping the plans' arrays to each module's outputs; groups
+    # of the same circuits share one layering
+    steps, layerings = [], {}
     for gen in generations:
         groups: dict = {}
         for n in gen:
@@ -481,7 +484,8 @@ def wire_dag(modules, external_inputs, *, name: str = "dag") -> AnnotatedModule:
             groups.setdefault((back.semantics, plans[n][0].signature) if circuit else n,
                               []).append(n)
         for key, names in groups.items():
-            run = fused_compute(by_name[n].backend for n in names) if isinstance(key, tuple) \
+            run = fused_compute((by_name[n].backend for n in names), layerings) \
+                if isinstance(key, tuple) \
                 else lambda *arrays, _m=by_name[names[0]]: (_run(_m, arrays),)
             steps.append((names, plans[names[0]], run))
 

@@ -66,23 +66,28 @@ class CircuitBackend:
         return _circuit_values(self.layered, self.semantics, values)[..., 0]
 
 
-def fused_compute(backends) -> Callable:
+def fused_compute(backends, layerings: dict | None = None) -> Callable:
     """One compute for circuit modules of one structure that read the same
     input values: it returns each module's outputs, in the order given,
     from one forward pass.
 
     The pass runs on a multi-root layering of the modules' circuits, built
-    on the first call and kept; a single module keeps its own. Values are
+    on the first call and kept in ``layerings`` under those circuits; a
+    single module keeps its own. A layering does not depend on the
+    structure, so computes handed one dict share the layering of the same
+    circuits in the same order, whatever their structures. Values are
     bitwise those of each module called alone.
     """
     backends = tuple(backends)
     s = backends[0].semantics
-    lc = backends[0].layered if len(backends) == 1 else None
+    key = tuple(id(b.circuit) for b in backends)
+    shared = {} if layerings is None else layerings
 
     def compute(values):
-        nonlocal lc
+        lc = shared.get(key)
         if lc is None:
-            lc = layerize(*(b.circuit for b in backends))
+            lc = shared[key] = backends[0].layered if len(backends) == 1 \
+                else layerize(*(b.circuit for b in backends))
         out = _circuit_values(lc, s, values)
         return [(out[..., k],) for k in range(len(backends))]
 

@@ -103,6 +103,12 @@ class Semiring:
     sum into a linear one: ``finish(add.reduce(a))`` equals
     ``np.add.reduce(finish(a))``, which is how the reverse pass sums a
     leaf's in-edges. Under log, a zero root value makes it NaN throughout.
+    ``image_of``, when set, names the semiring whose ``leaf`` image this
+    one is: ``leaf`` carries that semiring's sums and products to these
+    (log-probability is the probability semiring mapped through ``log``),
+    so a forward pass may run there and map its roots through ``leaf``.
+    :func:`nesycirc.layered.evaluate` does so for every row whose weights
+    prove that pass exact.
     """
 
     zero: float
@@ -113,6 +119,7 @@ class Semiring:
     add: np.ufunc
     finish: Callable
     dtype: type = np.float64
+    image_of: Semiring | None = None
 
 
 _LINEAR = Semiring(
@@ -122,7 +129,7 @@ _LINEAR = Semiring(
 
 _LOG = Semiring(
     zero=-np.inf, one=0.0, leaf=_log, unleaf=np.exp,
-    mul=np.add, add=np.logaddexp, finish=_normalized_exp,
+    mul=np.add, add=np.logaddexp, finish=_normalized_exp, image_of=_LINEAR,
 )
 
 # Exact model counting: the linear forward pass on Python integers held in

@@ -81,7 +81,11 @@ def semantic_loss(m: AnnotatedModule, prob_rows) -> float:
     equivalent LeafBatch. Evaluation goes through the log structure, so
     small weighted counts lose no precision to underflow. A row whose
     weighted count is zero contributes +inf (never NaN) and triggers a
-    warning naming the row. A batch of zero rows raises ValueError.
+    warning naming the row. A batch of zero rows raises ValueError. Its
+    forward pass is :func:`~nesycirc.layered.evaluate`'s, which runs on the
+    probability semiring where a row's weights prove that exact, so the
+    loss may differ in the last bits from the one
+    :func:`semantic_loss_and_grad` returns, whose pass stays in log space.
     """
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)

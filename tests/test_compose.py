@@ -12,7 +12,7 @@ from nesycirc.compose import (AnnotatedModule, Manifest, SymTensor, Violation,
                               load_manifest, manifest_for, reshape_input,
                               save_manifest, validate, wire_dag)
 from nesycirc.errors import CompositionError, IncompatibleStructures, StructureError
-from nesycirc.factory import ModuleFactory
+from nesycirc.factory import ModuleFactory, layerize
 from nesycirc.formula import CNF, make_name_table, parse_formula
 from nesycirc.semantics import transform
 
@@ -467,6 +467,30 @@ def test_dag_runs_one_forward_per_structure_and_input_plan(monkeypatch):
         roots.clear()
         dag(rows, rows)
         assert sorted(roots) == [1, 2, 2]
+
+
+def test_groups_of_the_same_circuits_share_one_layering(monkeypatch):
+    """The probability and log groups hold the same two circuits: both
+    passes run on one two-root layering, built on the first call only."""
+    dag, _ = _formula_dag()
+    built, tables, forward = [], [], layered._forward
+
+    def counted(*circuits):
+        built.append(len(circuits))
+        return layerize(*circuits)
+
+    def recorded(lc, literals, sr):
+        if len(lc.root_slots) == 2:
+            tables.append(lc)
+        return forward(lc, literals, sr)
+
+    monkeypatch.setattr("nesycirc.factory.layerize", counted)
+    monkeypatch.setattr(layered, "_forward", recorded)
+    rows = np.array([[0.5, 0.5, 0.5], [0.9, 0.2, 0.1]])
+    for _ in range(2):
+        dag(rows, rows)
+    assert built == [2]
+    assert len(tables) == 4 and all(lc is tables[0] for lc in tables)
 
 
 def test_dag_warns_once_per_module_that_underflowed():

@@ -17,8 +17,10 @@ from nesycirc.errors import CarrierError, CircuitError, StructureError
 from nesycirc.formula import (CNF, brute_force_wmc, eval_assignment, parse_dimacs, to_cnf,
                               to_nnf)
 from nesycirc.factory import ModuleFactory
-from nesycirc.layered import (BUCKETED_FROM, LeafBatch, _reduce, _tiles, _value_and_grad,
-                              backward, evaluate, evaluate_recursive, layer_summary, layerize)
+from nesycirc.layered import (BUCKETED_FROM, LeafBatch, _forward, _in_range, _reduce, _tiles,
+                              _value_and_grad, backward, evaluate, evaluate_recursive,
+                              layer_summary, layerize)
+from nesycirc.semantics import get_structure
 from nesycirc.tasks import build_addition, semantic_loss_and_grad
 
 from test_compiler import UNSMOOTH
@@ -315,6 +317,27 @@ def _corner_rows(rng, b, n):
     return np.where(u < 0.3, 0.0, np.where(u < 0.6, 1.0, rng.random((b, n))))
 
 
+def _mixed_rows(rng, b, n):
+    """Corner rows (see _corner_rows), with weights near 1e-200 on every
+    input in every fourth row from the second on: a log forward runs the
+    linear pass on the rows whose bounds stay in range, zero weights
+    included, and the log-space pass on the tiny rows of two or more
+    inputs."""
+    rows = _corner_rows(rng, b, n)
+    rows[1::4] = 10.0 ** -rng.uniform(190.0, 210.0, rows[1::4].shape)
+    return rows
+
+
+def _log_space():
+    """The log structure with every forward pass kept in log space."""
+    s = get_structure("log")
+    return dataclasses.replace(s, semiring=dataclasses.replace(s.semiring, image_of=None))
+
+
+def _bits(x):
+    return np.asarray(x, np.float64).view(np.uint64)
+
+
 def _models(cnf):
     return np.array([bits for bits in product((0.0, 1.0), repeat=cnf.num_vars)
                      if eval_assignment(cnf, [bool(x) for x in bits])]).reshape(-1, cnf.num_vars)
@@ -467,7 +490,7 @@ def test_layouts_agree_bitwise(cnf, seed):
     """The merged layout only adds identity pads, so values and gradients
     of a large batch equal those of its rows run in small batches."""
     lc = layerize(smooth(compile_cnf(cnf)))
-    rows = _corner_rows(np.random.default_rng(seed), 2 * BUCKETED_FROM, cnf.num_vars)
+    rows = _mixed_rows(np.random.default_rng(seed), 2 * BUCKETED_FROM, cnf.num_vars)
     whole = LeafBatch.from_probabilities(rows)
     parts = [LeafBatch.from_probabilities(rows[k:k + BUCKETED_FROM - 1])
              for k in range(0, len(rows), BUCKETED_FROM - 1)]
@@ -636,13 +659,15 @@ def test_tiles_agree_bitwise_with_one_tile(cnf, seed):
     """Every reduction runs along the slot axis, so a row's values and
     gradients do not depend on the tile it runs in."""
     m = ModuleFactory().module_from_dimacs(cnf)
-    _assert_tiles_agree(m, _corner_rows(np.random.default_rng(seed), TILED_ROWS, cnf.n_inputs))
+    _assert_tiles_agree(m, _mixed_rows(np.random.default_rng(seed), TILED_ROWS, cnf.n_inputs))
 
 
 def test_tiles_agree_bitwise_on_sum_999():
     m = _sum_999()
-    rows = _rows(np.random.default_rng(18), 60, b=TILED_ROWS, lo=0.02, hi=0.98)
+    rng = np.random.default_rng(18)
+    rows = _rows(rng, 60, b=TILED_ROWS, lo=0.02, hi=0.98)
     rows[:5] = np.round(rows[:5])  # corners: zero counts and NaN log gradients
+    rows[5::4] = 10.0 ** -rng.uniform(190.0, 210.0, rows[5::4].shape)  # out of range
     _assert_tiles_agree(m, rows)
 
 
@@ -679,7 +704,7 @@ def test_multi_root_values_equal_each_circuit_alone(pair, seed):
     fused = layerize(*circuits)
     alone = [layerize(c) for c in circuits]
     assert fused.num_vars == max(c.num_vars for c in circuits)
-    rows = _corner_rows(np.random.default_rng(seed), TILED_ROWS, pair[0].n_inputs)
+    rows = _mixed_rows(np.random.default_rng(seed), TILED_ROWS, pair[0].n_inputs)
     assert len(_with_budget(1, _tiles, fused, TILED_ROWS)) == 3
     for s, r in (("probability", rows), ("log", rows), ("boolean", np.round(rows))):
         want = [evaluate(lc, LeafBatch.from_probabilities(
@@ -720,6 +745,88 @@ def test_multi_root_layering_shares_leaves_and_warns_per_root():
         layerize(units, compile_cnf(CNF(4, ((1, 2),), aux_vars={4})))
     with pytest.raises(ValueError, match="at least one circuit"):
         layerize()
+
+
+# ---------------------------------------------------------------------------
+# Log forwards on the linear semiring
+
+
+def test_in_range_rows_take_the_log_of_the_linear_pass():
+    """On rows whose bounds stay in range, a log forward is ``log`` of the
+    probability forward, bit for bit; the log-space pass differs from it
+    in the last bits only."""
+    lc = _sum_999().backend.layered
+    rows = _rows(np.random.default_rng(22), 60, b=64, lo=0.02, hi=0.98)
+    batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+    assert _in_range(lc, batch.literals).all()
+    got = evaluate(lc, batch, "log_probability")
+    assert np.array_equal(_bits(got), _bits(np.log(evaluate(lc, batch))))
+    assert np.allclose(got, evaluate(lc, batch, _log_space()), rtol=1e-14, atol=0.0)
+
+
+@given(cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_in_range_rows_leave_no_subnormal_or_infinite_slot(cnf, seed):
+    """Literal weights from 2**-400 to 2**400, a fifth of them zero, put
+    rows on both sides of the bounds. Every slot of the linear buffer of a
+    row in range is zero or a normal float, and its log forward is ``log``
+    of the probability forward; every other row gets the log-space pass."""
+    lc = layerize(compile_cnf(cnf))
+    rng = np.random.default_rng(seed)
+    pos, neg = 2.0 ** rng.uniform(-400.0, 400.0, (2, 64, cnf.num_vars))
+    pos[rng.random(pos.shape) < 0.2] = 0.0
+    batch = LeafBatch.from_weights(pos, neg)
+    ok = _in_range(lc, batch.literals)[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow and underflow out of range
+        buf = _forward(lc, batch.literals, get_structure("probability").semiring)
+        linear = evaluate(lc, batch)
+    kept = buf[:lc.n_slots, ok]
+    assert np.all((kept == 0.0) | ((kept >= np.finfo(np.float64).tiny) & np.isfinite(kept)))
+    got = evaluate(lc, batch, "log")
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(_bits(got[ok]), _bits(np.log(linear[ok])))
+    assert np.array_equal(_bits(got[~ok]), _bits(evaluate(lc, batch, _log_space())[~ok]))
+
+
+def test_out_of_range_rows_run_the_log_space_pass():
+    """Weights near 1e-200 on every input of sum-999, and random rows of the
+    4000-variable chain: the bounds fail, so a log forward is the log-space
+    pass, bit for bit, finite where the probability pass underflows."""
+    rng = np.random.default_rng(23)
+    n = 4000
+    chain = layerize(compile_cnf(CNF(n, tuple((-i, i + 1) for i in range(1, n)))))
+    for lc, rows in ((_sum_999().backend.layered, 10.0 ** -rng.uniform(199.0, 201.0, (8, 60))),
+                     (chain, _rows(rng, n, b=4, lo=0.02, hi=0.98))):
+        batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+        assert not _in_range(lc, batch.literals).any()
+        got = evaluate(lc, batch, "log")
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(_bits(got), _bits(evaluate(lc, batch, _log_space())))
+        with pytest.warns(RuntimeWarning, match="underflowed"):
+            assert np.all(evaluate(lc, batch) == 0.0)
+
+
+def test_each_root_of_a_row_takes_its_own_path():
+    """A row may prove one root's circuit in range and not another's; each
+    root's value is still the one it gets alone. The auxiliary of the
+    second circuit weighs 1e-305 on both literals in the first row, out of
+    the lower bound, and 1e308, whose literal sum overflows, in the third;
+    the first circuit reads neither."""
+    plain = compile_cnf(CNF(2, ((1, 2),)))
+    linked = compile_cnf(CNF(3, ((1, 2), (-3, 1), (3, -1)), aux_vars={3}))
+    fused = layerize(plain, linked)
+    weights = np.array([[0.5, 0.5, 1e-305], [0.3, 0.6, 1.0], [0.5, 0.5, 1e308]])
+    batch = LeafBatch.from_weights(weights, weights, aux_vars={3})
+    assert _in_range(fused, batch.literals).tolist() == [[True, False], [True, True],
+                                                         [True, False]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(fused, batch, "log")
+        want = [evaluate(layerize(plain), LeafBatch.from_weights(weights[:, :2], weights[:, :2]),
+                         "log"), evaluate(layerize(linked), batch, "log")]
+    for k in range(2):
+        assert np.array_equal(_bits(got[:, k]), _bits(want[k]))
+    assert np.all(np.isfinite(got))
 
 
 def test_zero_row_batches_keep_their_shapes():
