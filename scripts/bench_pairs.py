@@ -66,6 +66,18 @@ def _quartiles(values) -> dict:
             "q3": round(float(q3), 6)}
 
 
+def compare(parent, change, sign: float = 1.0) -> dict:
+    """Paired values of both sides: each side's quartiles, the ratio of the
+    medians and the pairs the change won; ``sign`` is 1.0 where lower is
+    better and -1.0 where higher is."""
+    parent, change = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
+    side = {"parent": _quartiles(parent), "change": _quartiles(change)}
+    ratio = side["change"]["median"] / side["parent"]["median"] \
+        if side["parent"]["median"] else math.nan
+    return {**side, "change_over_parent_median": round(ratio, 4),
+            "change_wins": int(np.sum(sign * (parent - change) > 0))}
+
+
 def summarize(runs: list[dict], metrics: list[dict], workload: str) -> dict:
     """One workload's pairs: the runs of both sides at each seed, compared
     metric by metric. A metric missing from a run leaves its pair out."""
@@ -85,18 +97,14 @@ def summarize(runs: list[dict], metrics: list[dict], workload: str) -> dict:
         if not both:
             continue
         parent, change = map(np.array, zip(*both))
-        side = {"parent": _quartiles(parent), "change": _quartiles(change)}
-        gain = sign * (side["parent"]["median"] - side["change"]["median"])
-        iqr = side["parent"]["q3"] - side["parent"]["q1"]
-        ratio = side["change"]["median"] / side["parent"]["median"] \
-            if side["parent"]["median"] else math.nan
+        paired = compare(parent, change, sign)
+        gain = sign * (paired["parent"]["median"] - paired["change"]["median"])
+        iqr = paired["parent"]["q3"] - paired["parent"]["q1"]
         out["metrics"][name] = {
-            **side,
-            "change_over_parent_median": round(ratio, 4),
-            "change_wins": int(np.sum(sign * (parent - change) > 0)),
+            **paired,
             "ties": int(np.sum(parent == change)),
             "bound": spec["bound"],
-            "within_bound": bool(gain >= -spec["bound"] * abs(side["parent"]["median"])),
+            "within_bound": bool(gain >= -spec["bound"] * abs(paired["parent"]["median"])),
             "parent_iqr": round(iqr, 6),
             "median_gain_exceeds_parent_iqr": bool(gain > iqr),
         }

@@ -32,7 +32,8 @@ weights with no division. The leaf layer's pull alone leaves the semiring:
 the structure's ``finish`` maps each in-edge's adjoint to a linear
 derivative, and the group sums those with ``np.add``. Under log that is
 one ``exp`` and a linear sum in place of a ``logaddexp`` reduction, while
-the interior pulls and the scans stay in log space.
+the interior pulls and the scans stay in log space, on the rows that run
+in log space at all (see below).
 
 Two numpy costs that no output shows are kept out of the loops. A ufunc
 reduction starts from the ufunc's identity unless told otherwise, which is
@@ -49,12 +50,15 @@ triples the time of the scans' ``(19, 2, 1024)`` gathers, so those run
 with ``mode="clip"``; ``layerize`` builds every index in range. The loops
 call the ``ndarray.take`` method: ``np.take`` is a Python wrapper that
 looks the method up and calls it, a fixed cost that shows at one row.
-The forward buckets gather with it too, in ``mode="clip"``, not with
-``buf[children]``, whose indexing machinery costs more at small batches:
-a one-row probability forward on sum-999 went from 37 to 27 µs, with no
-change at 1024 rows. In the default ``mode="raise"`` the benchmark's
-``train`` process peaked 3 MB higher (83.8 against 80.7 MB), though
-tracemalloc sees the same arrays either way.
+Every other gather of the forward and reverse buffers, the forward
+buckets, the pulls and the suffix scans, calls it too, in ``mode="clip"``,
+not an index array such as ``buf[children]``, whose indexing machinery
+costs more at small batches: a one-row probability forward on sum-999
+went from 37 to 27 µs, and a one-row probability backward from 183 to
+159 µs (median of 20 interleaved rounds in one process), with no change
+beyond noise at 1024 rows. In the default ``mode="raise"`` the
+benchmark's ``train`` process peaked 3 MB higher (83.8 against 80.7 MB),
+though tracemalloc sees the same arrays either way.
 
 At small batches the cost is the number of numpy calls, not their width,
 so below :data:`BUCKETED_FROM` rows the same loops run on a merged layout:
@@ -119,15 +123,17 @@ integers. Weight rows are checked against the structure's rules, never
 against a structure name. Fuzzy structures are refused here; see
 :mod:`nesycirc.semantics`.
 
-A forward pass under a semiring with an ``image_of`` (log-probability is
-the probability semiring mapped through ``log``) runs, row by row, where
-it is cheaper: :func:`evaluate` runs the forward loop on the linear
-semiring and maps each root through ``leaf`` wherever a row's weights
-prove that no slot of the root's circuit can leave float64's normal
-range. There the result is within a few ulps of the log-space pass, for
-a fraction of its cost: ``logaddexp`` calls scalar ``exp`` and ``log1p``,
-about 20 ns an element against 0.4 ns for ``np.add`` on 16K in-cache
-elements (numpy 2.4.6, 2-core Xeon host).
+A pass under a semiring with an ``image_of`` (log-probability is the
+probability semiring mapped through ``log``) runs, row by row, where it is
+cheaper: :func:`evaluate`, :func:`backward` and the semantic loss run the
+loops on the linear semiring wherever a row's weights prove that no slot
+of the root's circuit, and no entry of the reverse buffer, can leave
+float64's normal range. There a log value is the ``log`` of the root, and
+a log gradient the linear gradient divided once by the root value, within
+a few ulps of the log-space pass for a fraction of its cost: ``logaddexp``
+calls scalar ``exp`` and ``log1p``, about 20 ns an element against 0.4 ns
+for ``np.add`` on 16K in-cache elements (numpy 2.4.6, 2-core Xeon host),
+and the log-space leaf pull takes one ``exp`` per in-edge.
 The proof (:func:`_in_range`) comes from the row's literal weights before
 any pass runs. In a smooth d-DNNF a node with a nonzero value is at least
 the product, over its variables, of the least positive weight of the
@@ -137,21 +143,40 @@ first at most one and of the second at least one, both bound every slot;
 they are kept as integer sums of binary exponents, rounded outward, and a
 row passes when they lie within ``2**-_RANGE_EXP`` and ``2**_RANGE_EXP``,
 a margin that covers the rounding of the sums and of the pass. A zero
-weight gives exact zeros and passes. Rows that fail for some root, such
-as weights near 1e-200 on many inputs or the rows of a 4000-variable
-chain, run the log-space pass; a row runs the linear pass only when some
-root passes. A verdict depends only on the row and on the root's own
-circuit, so values stay bitwise equal across tiles, both layouts, batch
-sizes and multi-root tables. :func:`backward` keeps its forward pass in
-log space, as its reverse scans read the log buffer, so a log value it
-computes may differ in the last bits from :func:`evaluate`'s.
+weight gives exact zeros and passes.
+The same bounds hold for the reverse buffer. A node's adjoint sums, over
+the paths from the root down to it, the products of the values of the
+siblings met on the way. Decomposability makes each such product a
+weighted count over variables outside the node, and smoothness makes it
+cover all of them; ``check_properties`` checks determinism structurally,
+as every OR has a decision variable, so two paths to a node part at an OR
+whose children disagree on that variable's literal, and their counts are
+over disjoint assignments. So a nonzero adjoint is a weighted count over
+a set of assignments of the variables outside the node: at least one
+term, each at least the lower bound, and at most the product of the
+literal sums. A product edge's row, and each partial product of the
+prefix and suffix scans, is such an adjoint times the values of some of
+the node's children, a count of the same kind, and a leaf's pulled
+adjoint is a sum of in-edge rows, which the same argument bounds. TRUE
+and FALSE leaves change none of this: they read no variable and weigh one
+or zero. Only nodes that read no variable, TRUE, FALSE and products of
+them, may be reached twice within one term; their adjoints, which reach
+no variable's leaf, escape the argument.
+Rows that fail for some root, such as weights near 1e-200 on many inputs
+or the rows of a 4000-variable chain, run the log-space pass; a row runs
+the linear pass only when some root passes. A verdict depends only on the
+row and on the root's own circuit, so values and gradients stay bitwise
+equal across tiles, both layouts, batch sizes and multi-root tables, and
+a log value from :func:`backward`'s pass equals :func:`evaluate`'s.
 
 The reverse pass returns d(value)/d(p_v) per batch row for the non-auxiliary
 variables. Under the log structure the gradient is still taken with respect
-to raw probabilities, d log WMC / d p_v: the adjoints stay in log space down
+to raw probabilities, d log WMC / d p_v. On rows in range it is the linear
+gradient over WMC. On the other rows the adjoints stay in log space down
 to the leaf in-edges, and each is normalized by log WMC before it is
 exponentiated, so rows whose WMC underflows in probability space still get
-finite gradients. A row with zero WMC has none: NaN in every column.
+finite gradients. A row with zero WMC has none: NaN in every column of a
+variable the circuit reads.
 
 Under ``probability`` a large circuit's WMC can underflow to zero.
 :func:`evaluate` and :func:`backward` then raise a ``RuntimeWarning`` that
@@ -610,18 +635,14 @@ def _tiles(lc: LayeredCircuit, batch_size: int) -> list[slice]:
 
 
 def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
-    """``run``'s outputs for every row of a literal table, computed tile by tile.
-
-    ``run(lc, tile, sr)`` takes a row block of the table and returns a
-    tuple of arrays with one entry per row along axis 0; those come back
-    for the whole table.
-    """
+    """``run``'s outputs for every row of a literal table, computed tile by
+    tile, each tile's rows routed by :func:`_routed`."""
     tiles = _tiles(lc, len(literals))
     if len(tiles) == 1:
-        return run(lc, literals, sr)
+        return _routed(lc, literals, sr, run)
     outs = None
     for tile in tiles:
-        parts = run(lc, literals[tile], sr)
+        parts = _routed(lc, literals[tile], sr, run)
         if outs is None:
             outs = [np.empty_like(part, shape=(len(literals), *part.shape[1:]))
                     for part in parts]
@@ -630,14 +651,48 @@ def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tu
     return tuple(outs)
 
 
+def _routed(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
+    """``run``'s outputs for every row of a literal table, each row run on
+    ``sr`` or, where :func:`_in_range` proves that exact, on its ``image_of``.
+
+    ``run(lc, rows, sr, lin)`` takes a row block of the table and returns
+    a tuple of arrays with one entry per row along axis 0: with ``lin``
+    None it runs on ``sr``, otherwise on ``lin`` with its outputs mapped
+    into ``sr``. A row runs on ``sr`` when some root fails and on ``lin``
+    when some root passes. Where a row does both, each root keeps the
+    output of the run it passed; for that, the outputs of a table with
+    several roots have one column per root.
+    """
+    lin = sr.image_of
+    if lin is None:
+        return run(lc, literals, sr, None)
+    ok = _in_range(lc, literals)
+    if ok.all():
+        return run(lc, literals, sr, lin)
+    if not ok.any():
+        return run(lc, literals, sr, None)
+    slow, fast = ~ok.all(axis=1), ok.any(axis=1)
+    parts = run(lc, literals[slow], sr, None)
+    outs = [np.empty_like(part, shape=(len(literals), *part.shape[1:])) for part in parts]
+    for out, part in zip(outs, parts):
+        out[slow] = part
+    # the slots of a root that failed may overflow in a row that runs here
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = run(lc, literals[fast], sr, lin)
+    for out, part in zip(outs, parts):
+        out[fast] = np.where(ok[fast], part, out[fast])
+    return tuple(outs)
+
+
 def _range_table(lc: LayeredCircuit) -> tuple[np.ndarray, np.ndarray]:
-    """Which variables each root's circuit reads, shape (num_vars, roots),
-    0 or 1; and the biases of each root's lower and upper exponent sums,
-    shape (2, 1, roots)."""
+    """Per root, which variables its circuit reads, 1 or 0, negated for the
+    lower exponent sum, shape (2, num_vars, roots); and the limits of the
+    negated lower and of the upper exponent sum, shape (2, 1, roots)."""
     nv = lc.num_vars
     reads = (lc.root_cols[:, :nv] | lc.root_cols[:, nv:2 * nv]).T.astype(np.int64)
     count = reads.sum(axis=0)
-    return reads, np.stack([1023 * count, 1022 * count])[:, None]
+    return (np.stack([-reads, reads]),
+            np.stack([_RANGE_EXP - 1023 * count, _RANGE_EXP + 1022 * count])[:, None])
 
 
 def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
@@ -653,7 +708,7 @@ def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
     weight and leaves its row to the log-space pass.
     """
     nv = lc.num_vars
-    reads, bias = lc._range_table
+    reads, limits = lc._range_table
     pos, neg = literals[:, :nv], literals[:, nv:2 * nv]
     bounds = np.empty((2, len(literals), nv))
     lo, hi = bounds
@@ -668,28 +723,16 @@ def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
     exps = bounds.view(np.int64)
     exps[1] -= 1
     exps >>= 52
-    sums = exps @ reads - bias
-    return (sums[0] >= -_RANGE_EXP) & (sums[1] <= _RANGE_EXP)
+    # one matmul and one comparison for both sums, the lower one negated
+    ok = np.matmul(exps, reads) <= limits
+    return ok[0] & ok[1]
 
 
-def _tile_values(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring):
-    lin = sr.image_of
+def _tile_values(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, lin):
+    """Each root's value per row, shape (rows, roots); see _routed."""
     if lin is None:
-        return (_forward(lc, literals, sr)[lc.root_slots].T,)
-    ok = _in_range(lc, literals)
-    if ok.all():
-        return (sr.leaf(_forward(lc, literals, lin)[lc.root_slots].T),)
-    if not ok.any():
-        return (_forward(lc, literals, sr)[lc.root_slots].T,)
-    # rows of both kinds; a row may pass for one root and not another
-    values = np.empty(ok.shape)
-    slow, fast = ~ok.all(axis=1), ok.any(axis=1)
-    values[slow] = _forward(lc, literals[slow], sr)[lc.root_slots].T
-    # the slots of a root that failed may overflow in a row that runs here
-    with np.errstate(over="ignore", invalid="ignore"):
-        linear = _forward(lc, literals[fast], lin)[lc.root_slots].T
-    values[fast] = np.where(ok[fast], sr.leaf(linear), values[fast])
-    return (values,)
+        return (_forward(lc, literals, sr).take(lc.root_slots, axis=0).T,)
+    return (sr.leaf(_forward(lc, literals, lin).take(lc.root_slots, axis=0).T),)
 
 
 def _values(lc: LayeredCircuit, batch: LeafBatch, s) -> np.ndarray:
@@ -739,7 +782,9 @@ def backward(lc: LayeredCircuit, batch: LeafBatch, structure="probability") -> n
     leaves, gives zeros there. Warns as :func:`evaluate` does, and runs a
     large batch in column tiles as it does: one tile's reverse buffer
     takes about 8 MiB, so beyond the batch and the output its memory does
-    not grow with the number of rows.
+    not grow with the number of rows. Under ``log_probability`` a row
+    whose weights prove the probability pass exact runs that pass and
+    divides its gradient by the weighted count; see the module notes.
     """
     return _value_and_grad(lc, batch, structure)[1]
 
@@ -773,15 +818,16 @@ def _value_and_grad(lc: LayeredCircuit, batch: LeafBatch,
         raise ValueError("gradients are taken w.r.t. probabilities; "
                          "build the batch with LeafBatch.from_probabilities")
     values, grad = _by_tiles(lc, batch.literals, s.semiring, _tile_values_and_grads)
-    _warn_underflow(_underflowed(lc, batch.literals, values[:, None], s.semiring.zero),
-                    stacklevel=3)
-    return values, grad
+    _warn_underflow(_underflowed(lc, batch.literals, values, s.semiring.zero), stacklevel=3)
+    return values[:, 0], grad
 
 
-def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring):
-    B = len(literals)
-    buf = _forward(lc, literals, sr)
-    root = buf[lc.root_slots[0]]
+def _reverse(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
+    """The reverse buffer of a forward buffer on ``sr`` (see the module
+    notes): every slot's adjoint, the leaves' as linear derivatives, then
+    the pads and every product edge's row."""
+    B = buf.shape[1]
+    root = buf.take(lc.root_slots[0], axis=0)
     layout = lc._layout_for(B)
     adj = np.empty((layout.n_rows, B))
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
@@ -789,7 +835,8 @@ def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semirin
     for layer, buckets, pulls in zip(lc.layers[:0:-1], layout.buckets[:0:-1],
                                      layout.pulls[:0:-1]):
         for slots, rows in pulls:
-            adj[slots] = adj[rows[0]] if len(rows) == 1 else _reduce(sr.add, adj[rows])
+            adj[slots] = adj.take(rows[0], axis=0, mode="clip") if len(rows) == 1 else \
+                _reduce(sr.add, adj.take(rows, axis=0, mode="clip"))
         if layer.kind != "PROD":
             continue
         for start, stop, children, first_row in buckets:
@@ -800,14 +847,37 @@ def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semirin
             out[0] = adj[start:stop]
             buf.take(children[:-1], axis=0, out=out[1:], mode="clip")
             _scan(sr.mul, out)
-            suffix = buf[children[:0:-1]]
+            suffix = buf.take(children[:0:-1], axis=0, mode="clip")
             _scan(sr.mul, suffix)
             sr.mul(out[:-1], suffix[::-1], out=out[:-1])
     # the leaf pulls leave the semiring: finish each in-edge, sum linearly
     for slots, rows in layout.pulls[0]:
-        adj[slots] = sr.finish(adj[rows[0]], root) if len(rows) == 1 else \
-            _reduce(np.add, sr.finish(adj[rows], root))
-    return root.copy(), _leaf_grad(lc, adj[:lc.n_leaves])
+        adj[slots] = sr.finish(adj.take(rows[0], axis=0, mode="clip"), root) \
+            if len(rows) == 1 else \
+            _reduce(np.add, sr.finish(adj.take(rows, axis=0, mode="clip"), root))
+    return adj
+
+
+def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, lin):
+    """The root's value per row, shape (rows, 1), and the gradient; see
+    _routed. On ``lin`` the gradient of the value's ``sr.leaf``, its log,
+    is the linear gradient over the linear value."""
+    on = sr if lin is None else lin
+    buf = _forward(lc, literals, on)
+    values = buf.take(lc.root_slots, axis=0).T
+    leaf_adj = _reverse(lc, buf, on)[:lc.n_leaves]
+    if lin is None:
+        return values, _leaf_grad(lc, leaf_adj)
+    root = values[:, 0]
+    # a zero count has no log derivative: NaN on every leaf, so in the
+    # column of every variable the circuit reads
+    if not root.all():
+        zero = root == 0.0
+        leaf_adj[:, zero] = np.nan
+        root = np.where(zero, 1.0, root)
+    grad = _leaf_grad(lc, leaf_adj)
+    grad /= root[:, None]
+    return sr.leaf(values), grad
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,10 @@ class Semiring:
     ``image_of``, when set, names the semiring whose ``leaf`` image this
     one is: ``leaf`` carries that semiring's sums and products to these
     (log-probability is the probability semiring mapped through ``log``),
-    so a forward pass may run there and map its roots through ``leaf``.
-    :func:`nesycirc.layered.evaluate` does so for every row whose weights
-    prove that pass exact.
+    so a pass may run there and map its roots through ``leaf``; as that
+    ``leaf`` is ``log``, its gradients divide by the root value.
+    :func:`nesycirc.layered.evaluate` and :func:`~nesycirc.layered.backward`
+    do so for every row whose weights prove that pass exact.
     """
 
     zero: float

@@ -83,9 +83,9 @@ def semantic_loss(m: AnnotatedModule, prob_rows) -> float:
     weighted count is zero contributes +inf (never NaN) and triggers a
     warning naming the row. A batch of zero rows raises ValueError. Its
     forward pass is :func:`~nesycirc.layered.evaluate`'s, which runs on the
-    probability semiring where a row's weights prove that exact, so the
-    loss may differ in the last bits from the one
-    :func:`semantic_loss_and_grad` returns, whose pass stays in log space.
+    probability semiring where a row's weights prove that exact; the pass
+    of :func:`semantic_loss_and_grad` routes each row the same way, so the
+    two losses are equal bit for bit.
     """
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)

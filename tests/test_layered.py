@@ -753,39 +753,55 @@ def test_multi_root_layering_shares_leaves_and_warns_per_root():
 
 def test_in_range_rows_take_the_log_of_the_linear_pass():
     """On rows whose bounds stay in range, a log forward is ``log`` of the
-    probability forward, bit for bit; the log-space pass differs from it
-    in the last bits only."""
+    probability forward, bit for bit, in :func:`evaluate` and in the
+    value-and-gradient pass, on both layouts; the log-space pass differs
+    from it in the last bits only."""
     lc = _sum_999().backend.layered
     rows = _rows(np.random.default_rng(22), 60, b=64, lo=0.02, hi=0.98)
-    batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
-    assert _in_range(lc, batch.literals).all()
-    got = evaluate(lc, batch, "log_probability")
-    assert np.array_equal(_bits(got), _bits(np.log(evaluate(lc, batch))))
-    assert np.allclose(got, evaluate(lc, batch, _log_space()), rtol=1e-14, atol=0.0)
+    for part in (rows, rows[:BUCKETED_FROM - 1]):
+        batch = LeafBatch.from_probabilities(part, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+        assert _in_range(lc, batch.literals).all()
+        got = evaluate(lc, batch, "log_probability")
+        assert np.array_equal(_bits(got), _bits(np.log(evaluate(lc, batch))))
+        assert np.array_equal(_bits(_value_and_grad(lc, batch, "log_probability")[0]), _bits(got))
+        assert np.allclose(got, evaluate(lc, batch, _log_space()), rtol=1e-14, atol=0.0)
 
 
 @given(cnfs(), st.integers(0, 2 ** 32 - 1))
 def test_in_range_rows_leave_no_subnormal_or_infinite_slot(cnf, seed):
     """Literal weights from 2**-400 to 2**400, a fifth of them zero, put
     rows on both sides of the bounds. Every slot of the linear buffer of a
-    row in range is zero or a normal float, and its log forward is ``log``
-    of the probability forward; every other row gets the log-space pass."""
+    row in range is zero or a normal float, and so is every entry of its
+    reverse buffer, as every adjoint and every partial product of the
+    scans is a weighted count bounded like a slot; its log forward is
+    ``log`` of the probability forward. Every other row gets the log-space
+    pass's values and gradients, bit for bit."""
     lc = layerize(compile_cnf(cnf))
     rng = np.random.default_rng(seed)
     pos, neg = 2.0 ** rng.uniform(-400.0, 400.0, (2, 64, cnf.num_vars))
     pos[rng.random(pos.shape) < 0.2] = 0.0
     batch = LeafBatch.from_weights(pos, neg)
     ok = _in_range(lc, batch.literals)[:, 0]
+    lin = get_structure("probability").semiring
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overflow and underflow out of range
-        buf = _forward(lc, batch.literals, get_structure("probability").semiring)
+        buf = _forward(lc, batch.literals, lin)
         linear = evaluate(lc, batch)
-    kept = buf[:lc.n_slots, ok]
-    assert np.all((kept == 0.0) | ((kept >= np.finfo(np.float64).tiny) & np.isfinite(kept)))
+        adj = layered._reverse(lc, buf, lin)
+    tiny = np.finfo(np.float64).tiny
+    for kept in (buf[:lc.n_slots, ok], adj[:, ok]):
+        assert np.all((kept == 0.0) | ((kept >= tiny) & np.isfinite(kept)))
     got = evaluate(lc, batch, "log")
     with np.errstate(divide="ignore"):
         assert np.array_equal(_bits(got[ok]), _bits(np.log(linear[ok])))
     assert np.array_equal(_bits(got[~ok]), _bits(evaluate(lc, batch, _log_space())[~ok]))
+    # backward needs probability rows; the tile pass takes the weights as they are
+    with np.errstate(divide="ignore", invalid="ignore"):
+        passes = [layered._by_tiles(lc, batch.literals, s.semiring,
+                                    layered._tile_values_and_grads)
+                  for s in (get_structure("log"), _log_space())]
+    for mine, log_space in zip(*passes):
+        assert np.array_equal(_bits(mine[~ok]), _bits(log_space[~ok]))
 
 
 def test_out_of_range_rows_run_the_log_space_pass():
@@ -827,6 +843,59 @@ def test_each_root_of_a_row_takes_its_own_path():
     for k in range(2):
         assert np.array_equal(_bits(got[:, k]), _bits(want[k]))
     assert np.all(np.isfinite(got))
+
+
+# Variables 1..4. N = OR_3(AND(3, 4), M) with M = AND(-3, OR_4(4, -4)) is
+# shared by both branches of A = OR_2(AND(2, N), AND(-2, N)); AND(2, N) is
+# shared by A and B = OR_2(AND(2, N), AND(-2, M)), and M by N and B; the
+# root is OR_1(AND(1, A), AND(-1, B)). As N = -3 | 4, the circuit is the
+# CNF (-3 | 4) & (1 | 2 | -3).
+SHARED = """nnfc 1
+nvars 4
+aux
+nnodes 20
+root 19
+node 0 LIT 1
+node 1 LIT -1
+node 2 LIT 2
+node 3 LIT -2
+node 4 LIT 3
+node 5 LIT -3
+node 6 LIT 4
+node 7 LIT -4
+node 8 OR 4 6 7
+node 9 AND 5 8
+node 10 AND 4 6
+node 11 OR 3 10 9
+node 12 AND 2 11
+node 13 AND 3 11
+node 14 OR 2 12 13
+node 15 AND 3 9
+node 16 OR 2 12 15
+node 17 AND 0 14
+node 18 AND 1 16
+node 19 OR 1 17 18
+"""
+
+
+@LAYOUT_BATCHES
+def test_shared_nodes_take_the_linear_route_and_match_central_differences(monkeypatch, b):
+    """Adjoints of nodes reached on both branches of several ORs sum the
+    paths' weights; the log gradient of rows in range comes from the linear
+    pass alone and matches central differences."""
+    c = circuit_from_text(SHARED)
+    lc = layerize(c)
+    rows = _rows(np.random.default_rng(b), 4, b=b, lo=0.1, hi=0.9)
+    batch = LeafBatch.from_probabilities(rows)
+    cnf = CNF(4, ((-3, 4), (1, 2, -3)))
+    assert np.allclose(evaluate(lc, batch), [brute_force_wmc(cnf, row) for row in rows])
+    semirings, real = [], layered._forward
+    monkeypatch.setattr(layered, "_forward",
+                        lambda lc, literals, sr: semirings.append(sr) or real(lc, literals, sr))
+    grad = backward(lc, batch, "log")
+    assert semirings == [get_structure("probability").semiring]
+    for row, got in zip(rows, grad):
+        assert np.allclose(got, _central_diff(lc, row, "log"), atol=1e-7, rtol=1e-6)
 
 
 def test_zero_row_batches_keep_their_shapes():
@@ -878,12 +947,15 @@ def test_reduce_from_first_operand_keeps_every_bit(op, shape, seed):
 def test_layer_loops_skip_reduction_identities_and_buffered_takes():
     """Every ``.reduce`` in ``layered.py`` is called with an ``initial=``
     that can start from the first operand (``None``, on every call or on
-    one branch), and every ``np.take`` into ``out=`` names its ``mode=``.
+    one branch), every ``np.take`` into ``out=`` names its ``mode=``, and
+    the forward and reverse buffers ``buf`` and ``adj`` are read by slices
+    and ``take``, never by an index array.
 
-    Neither shows in an output, only in timings: an identity start costs
-    one more ``op`` per output element, which under log is a
-    ``logaddexp(-inf, x)``, and ``np.take(..., out=...)`` in the default
-    ``mode="raise"`` copies through a temporary buffer.
+    None of this shows in an output, only in timings: an identity start
+    costs one more ``op`` per output element, which under log is a
+    ``logaddexp(-inf, x)``, ``np.take(..., out=...)`` in the default
+    ``mode="raise"`` copies through a temporary buffer, and indexing with
+    an array costs more than ``take`` at small batches.
     """
     tree = ast.parse(Path(layered.__file__).read_text(encoding="utf-8"))
     checked, slow = set(), []
@@ -899,6 +971,11 @@ def test_layer_loops_skip_reduction_identities_and_buffered_takes():
                 slow.append(f"layered.py:{call.lineno} reduce without initial=None")
         elif call.func.attr == "take" and "out" in kw and "mode" not in kw:
             slow.append(f"layered.py:{call.lineno} buffered np.take")
+    basic = (ast.Slice, ast.Constant)
+    slow += [f"layered.py:{node.lineno} {node.value.id}[...] gathers by index"
+             for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+             and isinstance(node.ctx, ast.Load) and isinstance(node.value, ast.Name)
+             and node.value.id in ("buf", "adj") and not isinstance(node.slice, basic)]
     # a ``reduce`` bound to a name and called later escapes the keyword check
     slow += [f"layered.py:{node.lineno} reduce not called in place"
              for node in ast.walk(tree) if isinstance(node, ast.Attribute)

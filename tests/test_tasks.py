@@ -100,6 +100,15 @@ def test_grad_matches_finite_differences(ex1_module):
         assert grads[0, j] == pytest.approx(fd, rel=1e-5)
 
 
+def test_loss_equals_the_loss_of_loss_and_grad():
+    """Both run the linear forward on rows in range, so their losses agree
+    bit for bit, row by row and over a batch."""
+    m = ModuleFactory().module_from_dimacs(build_addition(3, 999).cnf)
+    rows = np.random.default_rng(23).uniform(0.02, 0.98, (64, 60))
+    for batch in (*rows[:16, None], rows):
+        assert semantic_loss(m, batch) == semantic_loss_and_grad(m, batch)[0]
+
+
 def test_grad_shape_per_row(ex1_module):
     _, grads = semantic_loss_and_grad(
         ex1_module, [[0.5, 0.5, 0.5], [0.9, 0.2, 0.1]])
