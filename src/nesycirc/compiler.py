@@ -19,7 +19,9 @@ variable recorded on the OR node, which makes the two branches mutually
 inconsistent by construction. The node builder keeps the circuit smooth as
 it goes: each OR's branches are padded to the variables of both with gadgets
 ``OR(v, ~v)``, and the root to every declared variable, so no second pass
-rebuilds the circuit. A component is the tuple of its residual
+rebuilds the circuit. A conjunction stays a tuple of its conjuncts until an
+OR or the root takes it, so a branch's literals, components and gadgets
+become one AND, built once. A component is the tuple of its residual
 clauses (the live clauses with their false literals dropped), and it is its
 own cache key, so a residual subproblem compiles once however it is reached.
 The search is one loop over an explicit stack of components, with no
@@ -132,8 +134,14 @@ def _compute_masks(nodes: tuple[CircuitNode, ...]) -> tuple[int, ...]:
 
 
 class _Builder:
-    """Append-only node table with constant folding, node reuse, and
-    smoothing: every OR it builds and the root it finishes are padded."""
+    """Append-only node table with node reuse and smoothing: every OR it
+    builds and the root it finishes are padded.
+
+    A conjunction stays unbuilt until an OR or the root takes it. It is a
+    tuple of the ids of its conjuncts, none of them an AND, with ``()`` for
+    TRUE and ``None`` for FALSE, so a branch's conjuncts and the gadgets
+    that pad it go into one AND, built once.
+    """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
@@ -148,85 +156,87 @@ class _Builder:
         self._memo[key] = nid
         return nid
 
-    def true(self) -> int:
-        hit = self._memo.get("T")
-        return hit if hit is not None else self._add("T", CircuitNode("TRUE"), 0)
-
-    def false(self) -> int:
-        hit = self._memo.get("F")
-        return hit if hit is not None else self._add("F", CircuitNode("FALSE"), 0)
-
     def lit(self, literal: int) -> int:
         hit = self._memo.get(literal)  # the one key that is an int
         if hit is not None:
             return hit
         return self._add(literal, CircuitNode("LIT", literal=literal), 1 << (abs(literal) - 1))
 
-    def conj(self, ids: list[int]) -> int:
-        flat: list[int] = []
-        for i in ids:
-            k = self.nodes[i].kind
-            if k == "TRUE":
-                continue
-            if k == "FALSE":
-                return self.false()
-            if k == "AND":
-                flat.extend(self.nodes[i].children)
-            else:
-                flat.append(i)
-        out = list(dict.fromkeys(flat))
-        if not out:
-            return self.true()
-        if len(out) == 1:
-            return out[0]
-        key = ("A", tuple(out))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        mask = 0
-        for i in out:
-            mask |= self.masks[i]
-        return self._add(key, CircuitNode("AND", children=tuple(out)), mask)
+    @staticmethod
+    def conj(parts: list) -> tuple[int, ...] | None:
+        """The conjunction of the conjunctions ``parts``."""
+        if None in parts:
+            return None
+        return tuple(chain.from_iterable(parts))
 
-    def disj(self, a: int, b: int, decision_var: int) -> int:
-        """``OR(a, b)`` with each branch padded to the variables of both."""
-        if self.nodes[a].kind == "FALSE":
+    def disj(self, a, b, decision_var: int) -> tuple[int, ...] | None:
+        """The conjunction of ``OR(a, b)`` alone, with each branch padded to
+        the variables of both; a FALSE branch folds away. Both branches are
+        padded before either AND is built."""
+        if a is None:
             return b
-        if self.nodes[b].kind == "FALSE":
+        if b is None:
             return a
-        both = self.masks[a] | self.masks[b]
-        a, b = self._pad(a, both), self._pad(b, both)
+        mask_a, mask_b = self._mask(a), self._mask(b)
+        both = mask_a | mask_b
+        a, b = self._pad(a, both & ~mask_a), self._pad(b, both & ~mask_b)
+        a, b = self._and(a), self._and(b)
         key = ("O", a, b, decision_var)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        node = CircuitNode("OR", children=(a, b), decision_var=decision_var)
-        return self._add(key, node, both)
+        if hit is None:
+            node = CircuitNode("OR", children=(a, b), decision_var=decision_var)
+            hit = self._add(key, node, both)
+        return (hit,)
 
-    def _pad(self, nid: int, mask: int) -> int:
-        """``nid`` conjoined with a gadget ``OR(v, ~v)`` for each variable of
-        ``mask`` that it does not mention, lowest variable first."""
-        missing = mask & ~self.masks[nid]
+    def _mask(self, ids) -> int:
+        mask = 0
+        for i in ids:
+            mask |= self.masks[i]
+        return mask
+
+    def _pad(self, ids: tuple[int, ...], missing: int) -> tuple[int, ...]:
+        """``ids`` and a gadget ``OR(v, ~v)`` for each variable of
+        ``missing``, lowest variable first."""
         if not missing:
-            return nid
-        extras = [nid]
+            return ids
+        extras = list(ids)
         while missing:  # set bits only
             low = missing & -missing
             v = low.bit_length()
-            extras.append(self.disj(self.lit(v), self.lit(-v), v))
+            extras += self.disj((self.lit(v),), (self.lit(-v),), v)
             missing ^= low
-        return self.conj(extras)
+        return tuple(extras)
 
-    def finish(self, root: int, aux_vars: frozenset[int]) -> Circuit:
-        """The circuit of ``root`` padded to every declared variable, with
-        unreachable nodes dropped."""
-        root = self._pad(root, (1 << self.num_vars) - 1)
-        nodes, masks, new_root = _compact(self.nodes, self.masks, root)
-        return Circuit(self.num_vars, nodes, new_root, aux_vars, masks)
+    def _and(self, ids: tuple[int, ...]) -> int:
+        """The node of a conjunction that is not FALSE: its one conjunct,
+        or an AND of them (TRUE if there are none)."""
+        if len(ids) == 1:
+            return ids[0]
+        key = ("A", ids)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        return self._add(key, CircuitNode("AND" if ids else "TRUE", children=ids), self._mask(ids))
+
+    def finish(self, root, aux_vars: frozenset[int]) -> Circuit:
+        """The circuit of the conjunction ``root`` padded to every declared
+        variable, with unreachable nodes dropped."""
+        if root is None:
+            top = self._add("F", CircuitNode("FALSE"), 0)
+        else:
+            top = self._and(self._pad(root, ((1 << self.num_vars) - 1) & ~self._mask(root)))
+        nodes, masks, top = _compact(self.nodes, self.masks, top)
+        return Circuit(self.num_vars, nodes, top, aux_vars, masks)
 
 
 def _compact(nodes, masks, root):
-    """Drop nodes unreachable from the root, preserving relative order."""
+    """Drop nodes unreachable from the root, preserving relative order.
+
+    :func:`compile_cnf` leaves such nodes in one case: a component that
+    compiles to FALSE after a satisfiable sibling was built, which leaves
+    the sibling's nodes that nothing else reuses (Tseitin CNFs meet it).
+    :func:`smooth` also drops what of its input the root does not reach.
+    """
     reach = [False] * (root + 1)  # children come before parents
     reach[root] = True
     for i in range(root, -1, -1):
@@ -270,13 +280,16 @@ def compile_cnf(cnf: CNF) -> Circuit:
     builder = _Builder(cnf.num_vars)
     rank = _elimination_rank(cnf.clauses)
     top = None if cnf.unsat else _condition(cnf.clauses, _occurrences(cnf.clauses), ())
-    cache: dict[tuple, int] = {}
+    cache: dict[tuple, tuple[int, ...] | None] = {}  # component -> its conjunction
 
-    def branch_node(branch) -> int:
+    def branch_node(branch) -> tuple[int, ...] | None:
         if branch is None:
-            return builder.false()
+            return None
         forced, comps = branch
-        return builder.conj([builder.lit(l) for l in forced] + [cache[c] for c in comps])
+        parts = [cache[c] for c in comps]
+        if None in parts:  # an unsatisfiable component; build no literal for it
+            return None
+        return builder.conj([tuple(map(builder.lit, forced))] + parts)
 
     # entries are [component, None] until the component's branches are
     # conditioned, then [component, (v, true branch, false branch)]
@@ -510,25 +523,23 @@ def smooth(c: Circuit) -> Circuit:
     :func:`compile_cnf`, which pads every OR's children to the same
     variables and the root to every declared variable with gadgets
     ``OR(v, ~v)``. :func:`compile_cnf` output is smooth already; this is for
-    circuits from elsewhere, and smoothing a smooth circuit reproduces it
-    structurally.
+    circuits from elsewhere. Smoothing a smooth circuit reproduces it
+    structurally, and :func:`compile_cnf` output node for node.
     """
     check_properties(c).require("decomposable", "deterministic")
     builder = _Builder(c.num_vars)
-    new_id: list[int] = [0] * len(c.nodes)
+    conj: list = [None] * len(c.nodes)  # each node as a builder conjunction; FALSE is None
     for i, node in enumerate(c.nodes):
         if node.kind == "LIT":
-            new_id[i] = builder.lit(node.literal)
+            conj[i] = (builder.lit(node.literal),)
         elif node.kind == "TRUE":
-            new_id[i] = builder.true()
-        elif node.kind == "FALSE":
-            new_id[i] = builder.false()
+            conj[i] = ()
         elif node.kind == "AND":
-            new_id[i] = builder.conj([new_id[ch] for ch in node.children])
-        else:
+            conj[i] = builder.conj([conj[ch] for ch in node.children])
+        elif node.kind == "OR":
             a, b = node.children
-            new_id[i] = builder.disj(new_id[a], new_id[b], node.decision_var)
-    return builder.finish(new_id[c.root], c.aux_vars)
+            conj[i] = builder.disj(conj[a], conj[b], node.decision_var)
+    return builder.finish(conj[c.root], c.aux_vars)
 
 
 # ---------------------------------------------------------------------------

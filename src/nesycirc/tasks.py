@@ -31,7 +31,6 @@ from .factory import CircuitBackend
 from .formula import CNF
 from .layered import (LeafBatch, _value_and_grad, evaluate, evaluate_recursive,
                       layerize)
-from .semantics import get_structure
 
 __all__ = [
     "AdditionProblem", "TimingReport", "build_addition", "addition_batch",
@@ -50,7 +49,7 @@ def _circuit_backend(m: AnnotatedModule) -> CircuitBackend:
         raise CompositionError(
             f"{m.name} is not circuit-backed; build it with "
             f"ModuleFactory.build_formula_module or module_from_dimacs")
-    if not get_structure(back.structure).differentiable:
+    if not back.semantics.differentiable:  # the resolved structure, maybe a factory's own
         raise CompositionError(f"semantic loss needs a probability or log-structure "
                                f"module, {m.name} uses {back.structure!r}")
     return back

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nesycirc
+from nesycirc import compiler
 from nesycirc.compiler import (Circuit, CircuitNode, _elimination_rank, check_properties,
                                circuit_from_text, circuit_to_text, compile_cnf,
                                load_circuit, model_count, save_circuit, smooth)
@@ -87,6 +88,63 @@ def test_compile_output_is_smooth(cnf):
     assert c.nodes[c.root].kind == "FALSE" or c.var_masks[c.root] == full
     again = smooth(c)
     assert (len(again.nodes), _edges(again)) == (len(c.nodes), _edges(c))
+    # the builder pads both branches of an OR before it builds either AND,
+    # so rebuilding a compiled circuit meets its nodes in the same order
+    assert circuit_to_text(again) == circuit_to_text(c)
+
+
+@pytest.fixture()
+def dropped(monkeypatch):
+    """The number of nodes ``_compact`` drops, one entry per circuit built."""
+    counts = []
+    compact = compiler._compact
+
+    def counting(nodes, masks, root):
+        out = compact(nodes, masks, root)
+        counts.append(len(nodes) - len(out[0]))
+        return out
+
+    monkeypatch.setattr(compiler, "_compact", counting)
+    return counts
+
+
+def test_no_node_is_built_only_to_be_dropped(dropped):
+    """A branch's conjuncts and its padding go into one AND, built once, so
+    the builder leaves no unreachable node on these inputs."""
+    rng = random.Random(24)
+    cnfs = [build_addition(3, 999).cnf,
+            *(CNF(n, tuple((-i, i + 1) for i in range(1, n))) for n in (200, 400))]
+    for _ in range(40):
+        cnfs.append(CNF(16, tuple(tuple(v * rng.choice((1, -1))
+                                        for v in rng.sample(range(1, 17), 3))
+                                  for _ in range(48))))
+    for cnf in cnfs:
+        compile_cnf(cnf)
+    assert dropped == [0] * len(cnfs)
+
+
+def _reachable(c):
+    reach = {c.root}
+    for i in range(c.root, -1, -1):
+        if i in reach:
+            reach.update(c.nodes[i].children)
+    return reach
+
+
+def test_compact_drops_a_sibling_of_an_unsatisfiable_component(dropped):
+    """Deciding 1 false leaves the components {3, 4}, which has no model,
+    and (5 | 6), built before the search finds that; ``_compact`` drops the
+    nodes of (5 | 6) that the circuit does not reuse."""
+    cnf = CNF(6, ((1, 3, 4), (1, 3, -4), (1, -3, 4), (1, -3, -4), (1, 5, 6)))
+    c = compile_cnf(cnf)
+    assert dropped[0] > 0
+    assert _reachable(c) == set(range(len(c.nodes)))
+    assert check_properties(c).ok
+    assert model_count(c) == len(brute_force_models(cnf)) == 32
+    cnf = CNF(5, ((5, 1, 2), (-5, 1), (3, 4), (3, -4), (-3, 4), (-3, -4)))
+    c = compile_cnf(cnf)
+    assert dropped[1] > 0
+    assert c.nodes == (CircuitNode("FALSE"),) and c.root == 0
 
 
 def test_only_the_compiler_calls_smooth():
@@ -407,4 +465,4 @@ def test_compile_output_pinned():
     digest = hashlib.sha256()
     for cnf in _pinned_corpus():
         digest.update(circuit_to_text(compile_cnf(cnf)).encode())
-    assert digest.hexdigest() == "2778b28f8448650d46d790709ea4b78b0ac0991fbd7fc043a38d72a7410e0b6c"
+    assert digest.hexdigest() == "050ef5deeec51eab1b6e04f211a1919d65270a6e0d33ed85f8a39f69887534cb"

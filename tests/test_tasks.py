@@ -1,5 +1,6 @@
 """Semantic loss, the addition task, the timing harness, and weight files."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -8,7 +9,9 @@ import pytest
 
 from nesycirc.errors import CompositionError
 from nesycirc.factory import ModuleFactory
+from nesycirc.formula import make_name_table, parse_formula
 from nesycirc.layered import LeafBatch, evaluate
+from nesycirc.semantics import get_structure
 from nesycirc.tasks import (AdditionProblem, TimingReport, addition_batch,
                             bench, build_addition, convolution_oracle,
                             descend_semantic_loss, read_weight_rows,
@@ -66,6 +69,25 @@ def test_loss_rejects_boolean_modules():
     m = ModuleFactory().module_from_dimacs(EX1, "boolean")
     with pytest.raises(CompositionError, match="probability or log-structure"):
         semantic_loss(m, [[1.0, 1.0, 0.0]])
+
+
+def test_loss_reads_a_factory_registered_structure():
+    """A structure a factory registered is resolved on the module, not
+    looked up again by its tag."""
+    f = parse_formula("a | b", make_name_table(["a", "b"]))
+    rows = np.array([[0.3, 0.6], [0.9, 0.2]])
+    mine = dataclasses.replace(get_structure("probability"), name="my")
+    m = ModuleFactory(structures={"my": mine}).build_formula_module(f, "my")
+    ref = ModuleFactory().build_formula_module(f, "probability")
+    assert float(m.compute([0.5, 0.5])) == 0.75
+    assert semantic_loss(m, rows) == semantic_loss(ref, rows)
+    loss, grad = semantic_loss_and_grad(m, rows)
+    ref_loss, ref_grad = semantic_loss_and_grad(ref, rows)
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+    flags = dataclasses.replace(get_structure("boolean"), name="flags")
+    m = ModuleFactory(structures={"flags": flags}).build_formula_module(f, "flags")
+    with pytest.raises(CompositionError, match="probability or log-structure"):
+        semantic_loss(m, rows)
 
 
 def test_loss_log_module_matches_probability_module(ex1_module):
