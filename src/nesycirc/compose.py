@@ -1,12 +1,16 @@
 """Symbolically annotated modules and automatic composition.
 
-A SymTensor binds tensor positions to unique symbol names plus a structure
-tag. AnnotatedModules declare their interfaces as SymTensors, which is
-enough to wire modules together by name: :func:`chain` composes two modules
-sequentially, :func:`wire_dag` wires any number of them into a DAG by
-symbol dependencies. Both insert structure transformations (from the closed
-table in :mod:`nesycirc.semantics`) and symbol permutations automatically,
-and record every inserted stage in a text manifest for inspection.
+A SymTensor binds tensor positions to unique symbol names plus a
+structure, resolved from its tag once when the spec is made and carried
+from there on. AnnotatedModules declare their interfaces as SymTensors,
+which is enough to wire modules together by name: :func:`chain` composes
+two modules sequentially, :func:`wire_dag` wires any number of them into a
+DAG by symbol dependencies. Both compare the structures the specs carry,
+insert structure transformations (looked up by name in the closed table
+in :mod:`nesycirc.semantics`) and symbol permutations automatically, and
+record every inserted stage in a text manifest for inspection. Two
+different structures under one name never meet silently: wiring them
+raises ``IncompatibleStructures``.
 
 Value arrays may carry one leading batch axis beyond the declared shape;
 validation and gathering treat trailing axes as the symbolic ones.
@@ -21,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CompositionError, IncompatibleStructures
-from .semantics import Carrier, Structure, get_structure, transform, transform_pairs
+from .semantics import Structure, get_structure, transform, transform_pairs
 
 __all__ = [
     "SymTensor", "AnnotatedModule", "Violation", "Manifest", "validate",
@@ -45,15 +49,16 @@ class SymTensor:
     explicit ``shape``; a bare string makes a scalar spec. Stored symbols
     are always the flattened tuple. ``structure`` is a built-in tag (aliases
     resolved) or a :class:`Structure`, such as one registered on a
-    ``ModuleFactory``; either way the structure's name is stored, and an
-    unknown tag raises ``StructureError``. The structure's carrier, which
-    validation checks values against, is kept beside the name.
+    ``ModuleFactory``; an unknown tag raises ``StructureError``. The
+    resolved structure is kept as ``semantics``: validation checks values
+    against its carrier, and wiring compares it. ``structure`` keeps its
+    name, which manifests record and equality compares.
     """
 
     symbols: tuple[str, ...]
     structure: str | Structure = "probability"
     shape: tuple[int, ...] | None = None
-    carrier: Carrier = field(init=False, repr=False, compare=False)
+    semantics: Structure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.symbols, dtype=object)
@@ -77,7 +82,7 @@ class SymTensor:
         object.__setattr__(self, "shape", shape)
         s = get_structure(self.structure)
         object.__setattr__(self, "structure", s.name)
-        object.__setattr__(self, "carrier", s.carrier)
+        object.__setattr__(self, "semantics", s)
 
     @property
     def size(self) -> int:
@@ -198,13 +203,13 @@ def _violations(module: str, role: str, specs, arrays) -> list[Violation]:
             out.append(Violation(module, tensor, (), None,
                                  f"shape {arr.shape} does not match {spec.shape}"))
             continue
-        bad = ~spec.carrier.contains(arr)
+        bad = ~spec.semantics.carrier.contains(arr)
         if bad.any():
             for idx in np.argwhere(bad)[:5]:
                 index = tuple(int(i) for i in idx)
                 val = float(arr[index]) if index else float(arr)
                 out.append(Violation(module, tensor, index, val,
-                                     f"value {val!r} {spec.carrier.reason} "
+                                     f"value {val!r} {spec.semantics.carrier.reason} "
                                      f"for {spec.structure}"))
     return out
 
@@ -243,7 +248,7 @@ def reshape_input(m: AnnotatedModule, expected: SymTensor) -> AnnotatedModule:
         raise CompositionError(f"reshape_input needs a single-input module, "
                                f"{m.name} has {len(m.input_spec)}")
     src = m.input_spec[0]
-    if expected.structure != src.structure:
+    if expected.semantics != src.semantics:
         raise IncompatibleStructures(expected.structure, src.structure)
     if _positional_default(src.symbols) and not set(src.symbols) <= set(expected.symbols):
         if expected.size < src.size:
@@ -289,15 +294,17 @@ class _Plan:
         self.dst = f"{consumer}[{input_idx}]"
         self.target = target
         self.sources = [producers[s] for s in target.symbols]
-        structures = {src.spec.structure for src in self.sources}
-        if len(structures) > 1:
-            raise CompositionError(f"{self.dst} mixes structures {sorted(structures)}")
-        frm = structures.pop() if structures else target.structure
+        frm, *others = {src.spec.semantics for src in self.sources} or {target.semantics}
+        names = sorted({s.name for s in (frm, *others)})
+        if len(names) > 1:
+            raise CompositionError(f"{self.dst} mixes structures {names}")
+        if others:  # a second structure under the same name
+            raise IncompatibleStructures(frm.name, others[0].name)
         self.pair = None
-        if frm != target.structure:
-            if (frm, target.structure) not in transform_pairs():
-                raise IncompatibleStructures(frm, target.structure)
-            self.pair = (frm, target.structure)
+        if frm != target.semantics:
+            if (frm.name, target.structure) not in transform_pairs():
+                raise IncompatibleStructures(frm.name, target.structure)
+            self.pair = (frm, target.semantics)
         first = self.sources[0] if self.sources else None
         # what two plans share when they assemble the same array
         self.signature = (tuple((src.key, src.pos) for src in self.sources), self.pair,
@@ -331,7 +338,7 @@ class _Plan:
         for label, syms in by_label.items():
             recs.append(("edge", label, "->", self.dst, ",".join(syms)))
         if self.pair is not None:
-            recs.append(("transform", self.pair[0], "->", self.pair[1], self.dst))
+            recs.append(("transform", self.pair[0].name, "->", self.pair[1].name, self.dst))
         return recs
 
 
@@ -367,8 +374,8 @@ def chain(m1: AnnotatedModule, m2: AnnotatedModule, *, name: str | None = None) 
     """Compose sequentially by symbol name.
 
     m1's output symbols must equal m2's input symbols as sets; permutations
-    are rewired and a structure transformation is inserted when the tags
-    differ and the transform table allows it.
+    are rewired and a structure transformation is inserted when the
+    structures differ and the transform table allows it.
     """
     producers = _collect_producers(
         ((("o", i), f"{m1.name}[{i}]", spec) for i, spec in enumerate(m1.output_spec)))

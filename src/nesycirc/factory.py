@@ -1,14 +1,20 @@
 """A configurable factory assembling logic modules from interchangeable parts.
 
-The factory holds the structures it adds to the one structure registry
-of :mod:`nesycirc.semantics` (user fuzzy connective tables or Structure
-objects, each under its own name) and resolves every other tag there,
-through :meth:`ModuleFactory.resolve_structure`. It also bundles two
-registries of its own: aggregators (soft quantifiers over a score axis)
-and predicates (scoring functions over entity embeddings). From those it
-builds AnnotatedModules for connective application and for whole
-formulas, so a fuzzy-logic system and a probabilistic one differ only in
-the structure tag handed to :meth:`ModuleFactory.build_formula_module`.
+The factory holds a tag table of the structures it adds (user fuzzy
+connective tables or Structure objects, each under its own name); its
+build calls read that table first and the one structure registry of
+:mod:`nesycirc.semantics` after it, through
+:meth:`ModuleFactory.resolve_structure`. A tag is resolved there once,
+when a module is built: the module's specs and its circuit backend carry
+the resolved Structure from then on, and connective nodes take their
+connectives from their operands' own structure, so modules built by one
+factory combine under any other as under their own. The factory also
+bundles two registries of its own: aggregators (soft quantifiers over a
+score axis) and predicates (scoring functions over entity embeddings).
+From those it builds AnnotatedModules for connective application and for
+whole formulas, so a fuzzy-logic system and a probabilistic one differ
+only in the structure tag handed to
+:meth:`ModuleFactory.build_formula_module`.
 
 The built-in quantifiers are generalized means: ``exists`` is
 p_mean(x, p) = (mean(x^p))^(1/p) and ``forall`` its De Morgan dual
@@ -30,7 +36,7 @@ from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
 from .layered import (LayeredCircuit, LeafBatch, _underflowed, _values, _warn_underflow,
                       layerize)
-from .semantics import (Structure, builtin_structures, evaluate_fuzzy,
+from .semantics import (FuzzyConnectives, Structure, builtin_structures, evaluate_fuzzy,
                         fuzzy_structure_from_ops, get_structure)
 
 __all__ = [
@@ -53,13 +59,13 @@ class CircuitBackend:
     cnf: CNF
     circuit: Circuit = field(repr=False)
     layered: LayeredCircuit = field(repr=False)
-    structure: str = "probability"
     # the resolved structure, which may be one a factory added
-    semantics: Structure | None = field(default=None, repr=False, compare=False)
+    semantics: Structure = field(repr=False)
 
-    def __post_init__(self):
-        if self.semantics is None:
-            object.__setattr__(self, "semantics", get_structure(self.structure))
+    @property
+    def structure(self) -> str:
+        """The name of the structure the module evaluates under."""
+        return self.semantics.name
 
     def __call__(self, values):
         """The module's value for one row of input values, or one per row."""
@@ -219,17 +225,11 @@ class ModuleFactory:
 
     # -- connective nodes ---------------------------------------------------
 
-    def _connectives(self, tag: str):
-        s = self.resolve_structure(tag)
-        if s.fuzzy is None:
-            raise StructureError(f"structure {s.name!r} has no connective table; "
-                                 f"connective nodes need a fuzzy family")
-        return s.fuzzy
-
     def unary_node(self, op_name: str, x: AnnotatedModule) -> AnnotatedModule:
-        """Apply a unary connective elementwise to x's single output."""
+        """Apply a unary connective of x's own structure elementwise to its
+        single output."""
         spec = _single_output(x)
-        conn = self._connectives(spec.structure)
+        conn = _connectives(spec.semantics)
         if op_name != "not":
             raise StructureError(f"unknown unary connective {op_name!r}")
 
@@ -243,18 +243,18 @@ class ModuleFactory:
                                Manifest(name, records))
 
     def binary_node(self, op_name: str, x: AnnotatedModule, y: AnnotatedModule) -> AnnotatedModule:
-        """Combine two single-output modules elementwise under a connective.
+        """Combine two single-output modules elementwise under a connective
+        of their structure, which must be one and the same.
 
         The output positions get fresh derived symbol names, recorded in the
         manifest; the operands' input specs are concatenated.
         """
         sx, sy = _single_output(x), _single_output(y)
-        if sx.structure != sy.structure:
+        if sx.semantics != sy.semantics:
             raise IncompatibleStructures(sx.structure, sy.structure)
         if sx.shape != sy.shape:
             raise CompositionError(f"operand shapes differ: {sx.shape} vs {sy.shape}")
-        structure = self.resolve_structure(sx.structure)
-        conn = self._connectives(structure)
+        conn = _connectives(sx.semantics)
         ops = {"and": conn.conj, "or": conn.disj, "pr": conn.disj,
                "implies": conn.implies}
         fn = ops.get(op_name)
@@ -269,7 +269,7 @@ class ModuleFactory:
                 seen.add(s)
         fresh = [fresh_symbol(op_name) for _ in range(max(sx.size, 1))]
         out_spec = SymTensor(fresh[0] if sx.shape == () else fresh,
-                             structure=structure, shape=None if sx.shape == () else sx.shape)
+                             structure=sx.semantics, shape=None if sx.shape == () else sx.shape)
         nx = len(x.input_spec)
 
         def compute(*values):
@@ -320,18 +320,10 @@ class ModuleFactory:
         to a single scalar, so swapping the structure tag never changes the
         interface.
         """
-        s = self.resolve_structure(structure_tag)
-        nnf = to_nnf(f)
         n = max(formula_vars(f), default=0)
         names = formula_names(f)
-        symbols = [names.get(i, f"v{i}") for i in range(1, n + 1)]
-        in_spec = SymTensor(symbols, structure=s, shape=(n,))
-        out_spec = SymTensor("score", structure=s)
-        if s.circuit_safe:
-            compute = back = self._circuit_backend(to_cnf(nnf, num_vars=n), s)
-        else:
-            compute, back = _fuzzy_compute(nnf, s, n), None
-        return AnnotatedModule(name, (in_spec,), (out_spec,), compute, backend=back)
+        return self._module(to_nnf(f), structure_tag,
+                            [names.get(i, f"v{i}") for i in range(1, n + 1)], name)
 
     def module_from_dimacs(self, source, structure_tag="probability",
                            name: str = "phi") -> AnnotatedModule:
@@ -342,17 +334,26 @@ class ModuleFactory:
         values of a Tseitin encoding would not match the original formula.
         """
         cnf = source if isinstance(source, CNF) else parse_dimacs(source)
+        return self._module(cnf, structure_tag,
+                            [f"v{i}" for i in range(1, cnf.n_inputs + 1)], name)
+
+    def _module(self, source, structure_tag, symbols: list[str], name: str) -> AnnotatedModule:
+        """The module of an NNF formula or a CNF over ``symbols``, one value
+        per variable, under the structure ``structure_tag`` resolves to."""
         s = self.resolve_structure(structure_tag)
-        symbols = [f"v{i}" for i in range(1, cnf.n_inputs + 1)]
-        in_spec = SymTensor(symbols, structure=s, shape=(cnf.n_inputs,))
+        n = len(symbols)
+        in_spec = SymTensor(symbols, structure=s, shape=(n,))
         out_spec = SymTensor("score", structure=s)
         if s.circuit_safe:
+            cnf = source if isinstance(source, CNF) else to_cnf(source, num_vars=n)
             compute = back = self._circuit_backend(cnf, s)
         else:
-            if cnf.aux_vars:
-                raise StructureError("fuzzy structures evaluate the original formula; "
-                                     "this CNF contains Tseitin auxiliaries")
-            compute, back = _fuzzy_compute(cnf_to_formula(cnf), s, cnf.num_vars), None
+            if isinstance(source, CNF):
+                if source.aux_vars:
+                    raise StructureError("fuzzy structures evaluate the original formula; "
+                                         "this CNF contains Tseitin auxiliaries")
+                source = cnf_to_formula(source)
+            compute, back = _fuzzy_compute(source, s, n), None
         return AnnotatedModule(name, (in_spec,), (out_spec,), compute, backend=back)
 
     def _circuit_backend(self, cnf: CNF, s: Structure) -> CircuitBackend:
@@ -360,7 +361,14 @@ class ModuleFactory:
         if compiled is None:
             circuit = compile_cnf(cnf)
             compiled = self._compiled[cnf] = circuit, layerize(circuit)
-        return CircuitBackend(cnf, *compiled, s.name, s)
+        return CircuitBackend(cnf, *compiled, s)
+
+
+def _connectives(s: Structure) -> FuzzyConnectives:
+    if s.fuzzy is None:
+        raise StructureError(f"structure {s.name!r} has no connective table; "
+                             f"connective nodes need a fuzzy family")
+    return s.fuzzy
 
 
 def _single_output(m: AnnotatedModule) -> SymTensor:

@@ -118,6 +118,8 @@ def descend_semantic_loss(m: AnnotatedModule, start, steps: int = 100,
     ``bounds``. Returns (losses, probs): one loss per visited iterate
     (``steps + 1`` values, the last for the final point) and the final row.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     lo, hi = bounds
     if not 0.0 < lo < hi < 1.0:
         raise ValueError(f"bounds must satisfy 0 < lo < hi < 1, got {bounds}")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nesycirc import layered
+from nesycirc import layered, semantics
 from nesycirc.compose import (AnnotatedModule, Manifest, SymTensor, Violation,
                               chain, fresh_symbol, identity_module,
                               load_manifest, manifest_for, reshape_input,
@@ -14,7 +14,7 @@ from nesycirc.compose import (AnnotatedModule, Manifest, SymTensor, Violation,
 from nesycirc.errors import CompositionError, IncompatibleStructures, StructureError
 from nesycirc.factory import ModuleFactory, layerize
 from nesycirc.formula import CNF, make_name_table, parse_formula
-from nesycirc.semantics import transform
+from nesycirc.semantics import get_structure, transform
 
 
 def _mod(name, ins, outs, fn):
@@ -203,6 +203,20 @@ def test_reshape_structure_mismatch():
         reshape_input(m, SymTensor(("a",), "log"))
 
 
+def _two_named_my():
+    """Two different structures that share the name 'my'."""
+    return (replace(get_structure("fuzzy_godel"), name="my"),
+            replace(get_structure("fuzzy_product"), name="my"))
+
+
+def test_reshape_compares_structures_not_names():
+    mine, other = _two_named_my()
+    m = _mod("f", SymTensor(("a",), mine), SymTensor(("o",), mine), lambda x: x)
+    assert reshape_input(m, SymTensor(("a", "b"), mine))(np.array([0.25, 0.5])) == 0.25
+    with pytest.raises(IncompatibleStructures, match="'my' to 'my'"):
+        reshape_input(m, SymTensor(("a",), other))
+
+
 def test_reshape_requires_single_input():
     m = _mod("f", (SymTensor(("a",)), SymTensor(("b",))),
              SymTensor(("o",)), lambda x, y: x)
@@ -337,6 +351,19 @@ def test_dag_input_mixing_structures_is_refused():
         wire_dag([p, q, j], [SymTensor(("x",)), SymTensor(("y",), "log")])
 
 
+def test_dag_refuses_two_structures_of_one_name():
+    """Symbols under two different structures named 'my' neither join into
+    one input nor feed an input declared under the other."""
+    mine, other = _two_named_my()
+    p = _mod("p", SymTensor(("x",), mine), SymTensor(("a",), mine), lambda x: x)
+    q = _mod("q", SymTensor(("y",), other), SymTensor(("b",), other), lambda y: y)
+    j = _mod("j", SymTensor(("a", "b"), mine), SymTensor(("o",), mine), lambda v: v[..., :1])
+    with pytest.raises(IncompatibleStructures, match="'my' to 'my'"):
+        wire_dag([p, q, j], [SymTensor(("x",), mine), SymTensor(("y",), other)])
+    with pytest.raises(IncompatibleStructures, match="'my' to 'my'"):
+        wire_dag([p], [SymTensor(("x",), other)])
+
+
 def test_dag_cycle_detection():
     m1 = _mod("m1", SymTensor(("b",)), SymTensor(("a",)), lambda x: x)
     m2 = _mod("m2", SymTensor(("a",)), SymTensor(("b",)), lambda x: x)
@@ -467,6 +494,20 @@ def test_dag_runs_one_forward_per_structure_and_input_plan(monkeypatch):
         roots.clear()
         dag(rows, rows)
         assert sorted(roots) == [1, 2, 2]
+
+
+def test_dag_call_resolves_no_tag(monkeypatch):
+    """Specs and plans carry their structures, so a call, the probability →
+    log transform included, looks no tag up."""
+    dag, _ = _formula_dag()
+    calls = []
+    lookup = semantics.canonical_tag
+    monkeypatch.setattr(semantics, "canonical_tag", lambda tag: calls.append(tag) or lookup(tag))
+    rows = np.array([[0.5, 0.5, 0.5], [0.9, 0.2, 0.1]])
+    dag(rows, rows)
+    assert ("transform", "probability", "->", "log_probability",
+            "f0_log_probability[0]") in dag.manifest.records
+    assert calls == []
 
 
 def test_groups_of_the_same_circuits_share_one_layering(monkeypatch):

@@ -12,6 +12,7 @@ from nesycirc.factory import (Aggregator, CircuitBackend, EqualityPredicate,
                               ModuleFactory, Predicate, builtin_aggregators,
                               load_factory_config, p_mean)
 from nesycirc.formula import make_name_table, parse_formula
+from nesycirc import semantics
 from nesycirc.semantics import Structure, get_structure
 
 from test_cli import _mutate
@@ -141,6 +142,45 @@ def test_connectives_need_fuzzy_structure(pf):
     m = _leaf(pf, "A", "probability")
     with pytest.raises(StructureError, match="no connective table"):
         pf.unary_node("not", m)
+
+
+def _my_factories():
+    """Two factories that each register a structure named 'my', with other
+    connectives, and two modules built under the first one's."""
+    fa = ModuleFactory(structures={"my": {"not": lambda x: 1 - x, "and": np.minimum}})
+    fb = ModuleFactory(structures={"my": {"not": lambda x: (1 - x) ** 2,
+                                          "and": np.multiply}})
+    return fa, fb, [fa.build_formula_module(_parse(n, (n,)), "my", name=n) for n in "AB"]
+
+
+def test_connective_nodes_use_their_operands_structure():
+    """A node takes its connectives from the structure its operands were
+    built under, whichever factory combines them."""
+    fa, fb, (a, b) = _my_factories()
+    for f in (fb, ModuleFactory(), fa):
+        both = f.binary_node("and", a, b)
+        assert float(both(np.array([0.5]), np.array([0.25]))) == 0.25
+        assert float(f.unary_node("not", a)(np.array([0.25]))) == 0.75
+        assert both.output_spec[0].semantics is a.output_spec[0].semantics
+
+
+def test_binary_rejects_two_structures_of_one_name():
+    fa, fb, (a, _) = _my_factories()
+    b = fb.build_formula_module(_parse("B", ("B",)), "my", name="B")
+    with pytest.raises(IncompatibleStructures, match="'my' to 'my'"):
+        fa.binary_node("and", a, b)
+
+
+def test_connective_nodes_resolve_no_tag(pf, monkeypatch):
+    """Built modules carry their structure: combining and calling them
+    looks no tag up."""
+    a, b = _leaf(pf, "A"), _leaf(pf, "B")
+    calls = []
+    lookup = semantics.canonical_tag
+    monkeypatch.setattr(semantics, "canonical_tag", lambda tag: calls.append(tag) or lookup(tag))
+    m = pf.unary_node("not", pf.binary_node("and", a, b))
+    assert m(np.array([0.5]), np.array([0.5])) == pytest.approx(0.75)
+    assert calls == []
 
 
 def test_fresh_output_symbols_differ(pf):

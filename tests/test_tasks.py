@@ -156,6 +156,14 @@ def test_descend_bounds_validation(ex1_module):
         descend_semantic_loss(ex1_module, [0.5], bounds=(0.9, 0.1))
 
 
+def test_descend_refuses_negative_steps(ex1_module):
+    """``steps + 1`` losses: none is a valid count below zero steps."""
+    losses, p = descend_semantic_loss(ex1_module, [0.5, 0.5, 0.5], steps=0)
+    assert len(losses) == 1 and p == pytest.approx([0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match=r"steps must be >= 0, got -3"):
+        descend_semantic_loss(ex1_module, [0.5, 0.5, 0.5], steps=-3)
+
+
 # ---------------------------------------------------------------------------
 # Addition encoding
 
