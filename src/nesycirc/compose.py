@@ -48,11 +48,11 @@ class SymTensor:
     ``symbols`` may be given nested (the shape is inferred) or flat with an
     explicit ``shape``; a bare string makes a scalar spec. Stored symbols
     are always the flattened tuple. ``structure`` is a built-in tag (aliases
-    resolved) or a :class:`Structure`, such as one registered on a
-    ``ModuleFactory``; an unknown tag raises ``StructureError``. The
-    resolved structure is kept as ``semantics``: validation checks values
-    against its carrier, and wiring compares it. ``structure`` keeps its
-    name, which manifests record and equality compares.
+    resolved) or a :class:`Structure`, such as a user fuzzy algebra made by
+    ``fuzzy_structure_from_ops``; an unknown tag raises ``StructureError``.
+    The resolved structure is kept as ``semantics``: validation checks
+    values against its carrier, and wiring compares it. ``structure`` keeps
+    its name, which manifests record and equality compares.
     """
 
     symbols: tuple[str, ...]

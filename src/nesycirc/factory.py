@@ -1,20 +1,19 @@
 """A configurable factory assembling logic modules from interchangeable parts.
 
-The factory holds a tag table of the structures it adds (user fuzzy
-connective tables or Structure objects, each under its own name); its
-build calls read that table first and the one structure registry of
-:mod:`nesycirc.semantics` after it, through
-:meth:`ModuleFactory.resolve_structure`. A tag is resolved there once,
-when a module is built: the module's specs and its circuit backend carry
-the resolved Structure from then on, and connective nodes take their
-connectives from their operands' own structure, so modules built by one
-factory combine under any other as under their own. The factory also
-bundles two registries of its own: aggregators (soft quantifiers over a
-score axis) and predicates (scoring functions over entity embeddings).
-From those it builds AnnotatedModules for connective application and for
-whole formulas, so a fuzzy-logic system and a probabilistic one differ
-only in the structure tag handed to
-:meth:`ModuleFactory.build_formula_module`.
+A structure is named by a built-in tag (aliases included) or handed in as
+a :class:`~nesycirc.semantics.Structure`, such as a user fuzzy algebra
+made by :func:`~nesycirc.semantics.fuzzy_structure_from_ops`; either way
+it resolves through :func:`~nesycirc.semantics.get_structure`, the one
+structure registry. It is resolved once, when a module is built: the
+module's specs and its circuit backend carry the resolved Structure from
+then on, and connective nodes take their connectives from their
+operands' own structure, so modules built by one factory combine under
+any other as under their own. The factory bundles two registries of its
+own: aggregators (soft quantifiers over a score axis) and predicates
+(scoring functions over entity embeddings). From those it builds
+AnnotatedModules for connective application and for whole formulas, so a
+fuzzy-logic system and a probabilistic one differ only in the structure
+handed to :meth:`ModuleFactory.build_formula_module`.
 
 The built-in quantifiers are generalized means: ``exists`` is
 p_mean(x, p) = (mean(x^p))^(1/p) and ``forall`` its De Morgan dual
@@ -36,8 +35,7 @@ from .errors import CompositionError, IncompatibleStructures, StructureError
 from .formula import CNF, cnf_to_formula, formula_names, formula_vars, parse_dimacs, to_cnf, to_nnf
 from .layered import (LayeredCircuit, LeafBatch, _underflowed, _values, _warn_underflow,
                       layerize)
-from .semantics import (FuzzyConnectives, Structure, builtin_structures, evaluate_fuzzy,
-                        fuzzy_structure_from_ops, get_structure)
+from .semantics import FuzzyConnectives, Structure, evaluate_fuzzy, get_structure
 
 __all__ = [
     "Aggregator", "Predicate", "EqualityPredicate", "ModuleFactory",
@@ -59,7 +57,7 @@ class CircuitBackend:
     cnf: CNF
     circuit: Circuit = field(repr=False)
     layered: LayeredCircuit = field(repr=False)
-    # the resolved structure, which may be one a factory added
+    # the resolved structure, which may be a user Structure
     semantics: Structure = field(repr=False)
 
     @property
@@ -136,9 +134,13 @@ class Aggregator:
 
 @dataclass(frozen=True)
 class Predicate:
+    """A scoring function over ``arity`` entity embeddings. Its scores
+    live in ``structure``: a built-in tag or a Structure, resolved by
+    :func:`~nesycirc.semantics.get_structure`."""
+
     functor: str
     arity: int
-    structure: str
+    structure: str | Structure
     score: Callable = field(repr=False)
 
 
@@ -159,14 +161,12 @@ def builtin_aggregators(p: float = 6.0) -> dict[str, Aggregator]:
 
 
 class ModuleFactory:
-    """Immutable bundle of structures, aggregators, and predicates.
+    """Immutable bundle of aggregators and predicates.
 
-    ``structures`` maps extra tags to Structure objects named after their
-    tag or to plain connective dicts with 'not'/'and' (and optionally
-    'or'); built-in tags and their aliases are always available.
     ``aggregators`` maps names to Aggregator objects or bare callables
     reducing over the last axis. ``predicates`` is an iterable of Predicate
-    definitions, whose structure tags resolve like any other.
+    definitions. Structures are not registered here: build calls take a
+    built-in tag or a Structure object.
 
     Circuit-backed modules compile each CNF once per factory: the factory
     keeps a cache from CNF to its circuit and layered circuit, so the
@@ -175,19 +175,7 @@ class ModuleFactory:
     compiled.
     """
 
-    def __init__(self, structures=None, aggregators=None, predicates=()):
-        added: dict[str, Structure] = {}
-        for tag, value in (structures or {}).items():
-            if isinstance(value, dict):
-                value = fuzzy_structure_from_ops(tag, value)
-            elif not isinstance(value, Structure):
-                raise StructureError(
-                    f"structure {tag!r} must be a Structure or a connective dict")
-            elif value.name != tag:
-                raise StructureError(f"structure {value.name!r} cannot be registered "
-                                     f"under the tag {tag!r}; tags are structure names")
-            added[tag] = value
-        self._structures = added
+    def __init__(self, aggregators=None, predicates=()):
         aggs = builtin_aggregators()
         for name, value in (aggregators or {}).items():
             aggs[name] = value if isinstance(value, Aggregator) else Aggregator(name, value)
@@ -198,7 +186,7 @@ class ModuleFactory:
             if pred.functor in preds:
                 raise CompositionError(f"duplicate predicate {pred.functor!r}")
             try:
-                self.resolve_structure(pred.structure)
+                get_structure(pred.structure)
             except StructureError:
                 raise StructureError(f"predicate {pred.functor!r} references "
                                      f"unregistered structure {pred.structure!r}") from None
@@ -208,20 +196,12 @@ class ModuleFactory:
         self._compiled: dict[CNF, tuple[Circuit, LayeredCircuit]] = {}
 
     @property
-    def structures(self) -> dict[str, Structure]:
-        return {**builtin_structures(), **self._structures}
-
-    @property
     def aggregators(self) -> dict[str, Aggregator]:
         return dict(self._aggregators)
 
     @property
     def predicates(self) -> dict[str, Predicate]:
         return dict(self._predicates)
-
-    def resolve_structure(self, tag) -> Structure:
-        """A tag this factory added, else whatever :func:`get_structure` resolves."""
-        return self._structures.get(tag) or get_structure(tag)
 
     # -- connective nodes ---------------------------------------------------
 
@@ -305,14 +285,15 @@ class ModuleFactory:
             raise CompositionError(f"predicate {functor!r} has arity {pred.arity}, "
                                    f"got {len(entities)} arguments")
         scores = np.asarray(pred.score(*entities), dtype=np.float64)
-        out = SymTensor(fresh_symbol(functor), structure=self.resolve_structure(pred.structure))
+        out = SymTensor(fresh_symbol(functor), structure=pred.structure)
         return AnnotatedModule(fresh_symbol(functor), (), (out,),
                                lambda _s=scores: _s)
 
     # -- formula-backed modules ---------------------------------------------
 
     def build_formula_module(self, f, structure_tag, name: str = "phi") -> AnnotatedModule:
-        """Compile a formula into a module under any registered structure.
+        """Compile a formula into a module under a built-in structure tag or
+        a Structure.
 
         Circuit-safe structures go through compile/layerize; fuzzy
         ones evaluate the NNF directly. Either way the module maps one value
@@ -340,7 +321,7 @@ class ModuleFactory:
     def _module(self, source, structure_tag, symbols: list[str], name: str) -> AnnotatedModule:
         """The module of an NNF formula or a CNF over ``symbols``, one value
         per variable, under the structure ``structure_tag`` resolves to."""
-        s = self.resolve_structure(structure_tag)
+        s = get_structure(structure_tag)
         n = len(symbols)
         in_spec = SymTensor(symbols, structure=s, shape=(n,))
         out_spec = SymTensor("score", structure=s)
@@ -394,10 +375,12 @@ def _fuzzy_compute(nnf, s: Structure, n: int):
 def load_factory_config(path) -> ModuleFactory:
     """Build a factory from an INI file.
 
-    Sections: ``[structures]`` with ``tags = tag, tag, ...`` (built-in tags,
-    validated); ``[aggregators]`` with ``name = kind, p`` entries where kind
-    is exists or forall and p a finite number > 0; ``[predicates]`` with
-    ``names = eq`` (built-ins by name). All sections are optional.
+    Sections: ``[structures]`` with ``tags = tag, tag, ...``, which is only
+    checked: each must be a built-in tag, and the factory keeps none of
+    them (build calls take any built-in tag or Structure without it);
+    ``[aggregators]`` with ``name = kind, p`` entries where kind is exists
+    or forall and p a finite number > 0; ``[predicates]`` with ``names =
+    eq`` (built-ins by name). All sections are optional.
     """
     cp = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
     try:

@@ -366,7 +366,8 @@ class _Parser:
 
     def _expect(self, tok: str):
         if self.tok != tok:
-            raise FormulaError(f"expected {tok!r}, got {self.tok!r}", self.tok_pos)
+            got = "end of input" if self.tok is None else repr(self.tok)
+            raise FormulaError(f"expected {tok!r}, got {got}", self.tok_pos)
         self._advance()
 
     def parse(self) -> Formula:

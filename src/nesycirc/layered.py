@@ -829,7 +829,7 @@ def _reverse(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
     B = buf.shape[1]
     root = buf.take(lc.root_slots[0], axis=0)
     layout = lc._layout_for(B)
-    adj = np.empty((layout.n_rows, B))
+    adj = np.empty((layout.n_rows, B), dtype=sr.dtype)
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
     # top down through every layer above the leaves, which are layer 0
     for layer, buckets, pulls in zip(lc.layers[:0:-1], layout.buckets[:0:-1],

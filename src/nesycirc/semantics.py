@@ -50,7 +50,7 @@ class FuzzyConnectives:
 
     The grad callables return subgradients; at min/max ties they take the
     first-argument branch so gradients are deterministic. They are None for
-    user-supplied algebras registered without gradient rules.
+    user-supplied algebras built without gradient rules.
     """
 
     neg: Callable
@@ -275,7 +275,7 @@ def get_structure(name) -> Structure:
         return name
     try:
         return _BUILTINS[canonical_tag(name)]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable value, such as a dict
         raise StructureError(f"unknown structure tag {name!r}") from None
 
 
@@ -369,7 +369,8 @@ def fuzzy_value_and_grad(f, s, var_scores):
     conn = s.fuzzy
     if not s.differentiable:
         raise StructureError(
-            f"structure {s.name!r} has no gradient rules; register them or use a built-in family")
+            f"structure {s.name!r} has no gradient rules; give its FuzzyConnectives "
+            f"neg_grad, conj_grad and disj_grad, or use a built-in family")
     grad = np.zeros(scores.shape)
     adj = [None] * len(nodes)
     adj[-1] = np.ones(scores.shape[:-1])

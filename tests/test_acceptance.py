@@ -23,7 +23,7 @@ from nesycirc.formula import (CNF, And, Iff, Implies, Not, Or, Var,
                               to_nnf)
 from nesycirc.layered import (LeafBatch, backward, evaluate,
                               evaluate_recursive, layerize)
-from nesycirc.semantics import evaluate_fuzzy, fuzzy_value_and_grad
+from nesycirc.semantics import evaluate_fuzzy, fuzzy_value_and_grad, get_structure
 from nesycirc.tasks import (addition_batch, bench, build_addition,
                             convolution_oracle, descend_semantic_loss,
                             semantic_loss)
@@ -341,7 +341,7 @@ def test_criterion_08_corner_agreement_across_structures():
 
 def test_criterion_09_fuzzy_factory_goldens():
     pf = ModuleFactory(predicates=(EqualityPredicate,))
-    conn = pf.resolve_structure("fuzzy_product").fuzzy
+    conn = get_structure("fuzzy_product").fuzzy
     assert conn.neg(0.3) == pytest.approx(0.7, rel=1e-12)
     assert conn.conj(0.5, 0.5) == pytest.approx(0.25, rel=1e-12)
     assert pf.aggregate("exists", [1.0, 0.0]) == pytest.approx(

@@ -115,6 +115,25 @@ def test_compile_bad_dimacs(tmp_path, capsys):
     assert err.startswith("error[format]: ") and "bad.cnf" in err
 
 
+def test_compile_negative_problem_line(tmp_path, capsys):
+    bad = tmp_path / "neg.cnf"
+    bad.write_text("p cnf -1 2\n")
+    assert main(["compile", "--dimacs", str(bad), "--out", str(tmp_path / "c.nnfc")]) == 2
+    assert capsys.readouterr().err == (f"error[format]: {bad}: line 1: "
+                                       f"malformed problem line 'p cnf -1 2'\n")
+
+
+@pytest.mark.parametrize("formula, err", [
+    ("a & #", "position 4: unexpected character '#'"),
+    ("a &", "position 3: unexpected end of input"),
+    ("(a & b", "position 6: expected ')', got end of input"),
+])
+def test_compile_malformed_formula(formula, err, tmp_path, capsys):
+    assert main(["compile", "--formula", formula, "--names", "a,b",
+                 "--out", str(tmp_path / "c.nnfc")]) == 2
+    assert capsys.readouterr().err == f"error[format]: {err}\n"
+
+
 def test_compile_refuses_absurd_variable_count(tmp_path, capsys):
     """Smoothing would pad every declared variable; the problem line fails
     at once instead."""
@@ -425,6 +444,21 @@ def test_out_of_order_nodes_fail_at_load(command, name, node, child, tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error[format]: {bad}: node {node}: child {child} not topologically earlier\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("nnfc 1\nnvars 1\naux\nnnodes 0\nroot 0\n", "a circuit needs at least one node"),
+    ("nnfc 1\nnvars 1\naux\nnnodes 2\nroot 1\nnode 1 LIT 1\nnode 0 LIT -1\n",
+     "node ids must be dense and in order, got 1"),
+    ("nnfc 1\nnvars x\naux\nnnodes 1\nroot 0\nnode 0 LIT 1\n", "malformed header value"),
+], ids=["no-nodes", "ids-out-of-order", "bad-nvars"])
+def test_eval_malformed_circuit_fails_at_load(text, err, tmp_path, weights_file, capsys):
+    bad = tmp_path / "bad.nnfc"
+    bad.write_text(text)
+    assert main(["eval", "--circuit", str(bad), "--weights", weights_file]) == 2
+    out, got = capsys.readouterr()
+    assert out == ""
+    assert got == f"error[format]: {bad}: {err}\n"
 
 
 @pytest.mark.parametrize("command", [

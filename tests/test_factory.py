@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from nesycirc.compose import SymTensor, wire_dag
 from nesycirc.errors import (CompositionError, IncompatibleStructures,
                              NesycircError, StructureError)
 from nesycirc.factory import (Aggregator, CircuitBackend, EqualityPredicate,
@@ -13,7 +14,7 @@ from nesycirc.factory import (Aggregator, CircuitBackend, EqualityPredicate,
                               load_factory_config, p_mean)
 from nesycirc.formula import make_name_table, parse_formula
 from nesycirc import semantics
-from nesycirc.semantics import Structure, get_structure
+from nesycirc.semantics import Structure, fuzzy_structure_from_ops, get_structure
 
 from test_cli import _mutate
 
@@ -144,20 +145,23 @@ def test_connectives_need_fuzzy_structure(pf):
         pf.unary_node("not", m)
 
 
-def _my_factories():
-    """Two factories that each register a structure named 'my', with other
-    connectives, and two modules built under the first one's."""
-    fa = ModuleFactory(structures={"my": {"not": lambda x: 1 - x, "and": np.minimum}})
-    fb = ModuleFactory(structures={"my": {"not": lambda x: (1 - x) ** 2,
-                                          "and": np.multiply}})
-    return fa, fb, [fa.build_formula_module(_parse(n, (n,)), "my", name=n) for n in "AB"]
+def _my_structures():
+    """Two user fuzzy structures both named 'my', with other connectives,
+    and two modules built under the first."""
+    mine = fuzzy_structure_from_ops("my", {"not": lambda x: 1 - x, "and": np.minimum})
+    other = fuzzy_structure_from_ops("my", {"not": lambda x: (1 - x) ** 2,
+                                            "and": np.multiply})
+    f = ModuleFactory()
+    return mine, other, [f.build_formula_module(_parse(n, (n,)), mine, name=n) for n in "AB"]
 
 
 def test_connective_nodes_use_their_operands_structure():
     """A node takes its connectives from the structure its operands were
     built under, whichever factory combines them."""
-    fa, fb, (a, b) = _my_factories()
-    for f in (fb, ModuleFactory(), fa):
+    mine, other, (a, b) = _my_structures()
+    assert a.output_spec[0].semantics is mine
+    with_other = ModuleFactory(predicates=[Predicate("p", 1, other, lambda x: x)])
+    for f in (with_other, ModuleFactory()):
         both = f.binary_node("and", a, b)
         assert float(both(np.array([0.5]), np.array([0.25]))) == 0.25
         assert float(f.unary_node("not", a)(np.array([0.25]))) == 0.75
@@ -165,10 +169,10 @@ def test_connective_nodes_use_their_operands_structure():
 
 
 def test_binary_rejects_two_structures_of_one_name():
-    fa, fb, (a, _) = _my_factories()
-    b = fb.build_formula_module(_parse("B", ("B",)), "my", name="B")
+    _, other, (a, _) = _my_structures()
+    b = ModuleFactory().build_formula_module(_parse("B", ("B",)), other, name="B")
     with pytest.raises(IncompatibleStructures, match="'my' to 'my'"):
-        fa.binary_node("and", a, b)
+        ModuleFactory().binary_node("and", a, b)
 
 
 def test_connective_nodes_resolve_no_tag(pf, monkeypatch):
@@ -246,7 +250,7 @@ def test_formula_module_interface_is_structure_independent(pf):
     for tag in ("boolean", "probability", "log_probability", "fuzzy_product"):
         m = pf.build_formula_module(f, tag)
         assert m.input_spec[0].symbols == ("A", "B", "C")
-        assert m.input_spec[0].structure == pf.resolve_structure(tag).name
+        assert m.input_spec[0].structure == get_structure(tag).name
         assert m.output_spec[0].symbols == ("score",)
 
 
@@ -334,33 +338,34 @@ def test_dimacs_module_fuzzy_refuses_auxiliaries(pf):
 # Registries and configuration
 
 
-def test_custom_structure_dict():
-    f = ModuleFactory(structures={"my": {"not": lambda x: 1 - x,
-                                         "and": lambda x, y: x * y}})
-    s = f.resolve_structure("my")
+def test_custom_structure_dict(pf):
+    s = fuzzy_structure_from_ops("my", {"not": lambda x: 1 - x,
+                                        "and": lambda x, y: x * y})
     assert isinstance(s, Structure) and s.name == "my"
-    m = f.build_formula_module(_parse("A & B", ("A", "B")), "my")
+    m = pf.build_formula_module(_parse("A & B", ("A", "B")), s)
     assert float(m(np.array([0.5, 0.5]))) == pytest.approx(0.25)
 
 
-def test_bad_structure_value():
-    with pytest.raises(StructureError, match="must be a Structure or a connective dict"):
-        ModuleFactory(structures={"my": "product"})
+def test_bad_structure_value(pf):
+    """A build call takes a built-in tag or a Structure, not a connective
+    dict or another name."""
+    f = _parse("A & B", ("A", "B"))
+    for bad in ("product", {"not": lambda x: 1 - x, "and": np.minimum}):
+        with pytest.raises(StructureError, match="unknown structure tag"):
+            pf.build_formula_module(f, bad)
 
 
-def test_structure_must_be_registered_under_its_name():
-    other = replace(get_structure("fuzzy_godel"), name="other")
-    with pytest.raises(StructureError, match="'other' cannot be registered under the tag 'my'"):
-        ModuleFactory(structures={"my": other})
-    f = ModuleFactory(structures={"my": replace(other, name="my")})
-    m = f.unary_node("not", f.build_formula_module(_parse("A & B", ("A", "B")), "my"))
+def test_structure_must_be_registered_under_its_name(pf):
+    """A Structure passed to a build call is taken under its own name."""
+    mine = replace(get_structure("fuzzy_godel"), name="my")
+    m = pf.unary_node("not", pf.build_formula_module(_parse("A & B", ("A", "B")), mine))
     assert float(m(np.array([0.25, 0.5]))) == pytest.approx(0.75)
 
 
-def test_registered_fuzzy_tag_checks_unit_carrier():
-    f = ModuleFactory(structures={"my": {"not": lambda x: 1 - x,
-                                         "and": lambda x, y: x * y}})
-    m = f.build_formula_module(_parse("A & B", ("A", "B")), "my")
+def test_registered_fuzzy_tag_checks_unit_carrier(pf):
+    s = fuzzy_structure_from_ops("my", {"not": lambda x: 1 - x,
+                                        "and": lambda x, y: x * y})
+    m = pf.build_formula_module(_parse("A & B", ("A", "B")), s)
     with pytest.raises(CompositionError, match=r"value 1\.5 outside \[0, 1\] for my"):
         m(np.array([1.5, 0.5]))
 
@@ -374,11 +379,30 @@ def test_predicate_structure_resolves_aliases():
 
 
 def test_resolve_structure(pf):
-    assert pf.resolve_structure("log").name == "log_probability"
-    s = pf.resolve_structure("probability")
-    assert pf.resolve_structure(s) is s
+    """Build calls resolve through get_structure: aliases map to the
+    registry's object, and a Structure passes through."""
+    f = _parse("A & B", ("A", "B"))
+    out = pf.build_formula_module(f, "log").output_spec[0]
+    assert out.semantics is get_structure("log_probability")
+    s = get_structure("probability")
+    assert pf.module_from_dimacs("p cnf 1 1\n1 0\n", s).backend.semantics is s
     with pytest.raises(StructureError, match="unknown structure tag"):
-        pf.resolve_structure("zadeh")
+        pf.build_formula_module(f, "zadeh")
+
+
+def test_user_structure_as_predicate_and_under_wire_dag():
+    """A Structure from fuzzy_structure_from_ops scores a predicate, and a
+    DAG wires its modules as any built-in's."""
+    mine = fuzzy_structure_from_ops("my", {"not": lambda x: 1 - x, "and": np.minimum})
+    f = ModuleFactory(predicates=[Predicate("near", 1, mine, lambda x: np.exp(-np.abs(x)))])
+    p = f.apply_predicate("near", np.array([0.0, 1.0]))
+    assert p.output_spec[0].semantics is mine
+    assert p() == pytest.approx([1.0, np.exp(-1.0)])
+    a = f.build_formula_module(_parse("A & B", ("A", "B")), mine, name="a")
+    b = replace(f.build_formula_module(_parse("A | B", ("A", "B")), mine, name="b"),
+                output_spec=(SymTensor("b.score", mine),))
+    dag = wire_dag([a, b], [SymTensor(("A", "B"), mine)])
+    assert [float(v) for v in dag(np.array([0.25, 0.5]))] == [0.25, 0.5]
 
 
 CONFIG = ("[structures]\ntags = probability, fuzzy_godel\n"

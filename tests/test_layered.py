@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -618,6 +619,35 @@ def test_layouts_are_built_on_first_use(monkeypatch, tmp_path):
 
 def _sum_999():
     return ModuleFactory().module_from_dimacs(build_addition(3, 999).cnf)
+
+
+def test_leaf_batch_input_checks():
+    with pytest.raises(ValueError, match="must be 1-D or 2-D"):
+        LeafBatch.from_probabilities(np.full((1, 2, 3), 0.5))
+    with pytest.raises(ValueError, match="2 probability columns plus 1 auxiliaries "
+                                         "do not cover 4 variables"):
+        LeafBatch.from_probabilities([0.5, 0.5], num_vars=4, aux_vars={3})
+    batch = LeafBatch.from_weights([0.25, 1.0], [0.75, 0.5])
+    assert batch.literals.shape == (1, 6) and batch.num_vars == 2
+    assert np.array_equal(batch.pos, [[0.25, 1.0]]) and np.array_equal(batch.neg, [[0.75, 0.5]])
+    with pytest.raises(ValueError, match="must share a 2-D shape"):
+        LeafBatch.from_weights([[0.5, 0.5]], [[0.5, 0.5, 0.5]])
+
+
+def test_reverse_pass_buffers_take_the_semirings_dtype():
+    """An exact copy of the linear semiring, on Fractions in object
+    buffers: the reverse pass on sum-99 keeps every leaf adjoint a
+    Fraction, and the gradient they give is backward's to rounding."""
+    exact = dataclasses.replace(get_structure("probability").semiring, zero=Fraction(0),
+                                one=Fraction(1), leaf=np.frompyfunc(Fraction, 1, 1),
+                                dtype=object)
+    lc = ModuleFactory().module_from_dimacs(build_addition(2, 99).cnf).backend.layered
+    rows = np.random.default_rng(99).uniform(0.05, 0.95, (3, lc.n_inputs))
+    batch = LeafBatch.from_probabilities(rows, num_vars=lc.num_vars, aux_vars=lc.aux_vars)
+    leaf_adj = layered._reverse(lc, _forward(lc, batch.literals, exact), exact)[:lc.n_leaves]
+    assert all(isinstance(a, Fraction) for a in leaf_adj.flat)
+    assert np.allclose(layered._leaf_grad(lc, leaf_adj), backward(lc, batch),
+                       rtol=1e-14, atol=0.0)
 
 
 def _with_budget(budget, fn, *args):

@@ -72,12 +72,12 @@ def test_loss_rejects_boolean_modules():
 
 
 def test_loss_reads_a_factory_registered_structure():
-    """A structure a factory registered is resolved on the module, not
-    looked up again by its tag."""
+    """A user Structure passed to a build call is carried on the module,
+    not looked up again by its tag."""
     f = parse_formula("a | b", make_name_table(["a", "b"]))
     rows = np.array([[0.3, 0.6], [0.9, 0.2]])
     mine = dataclasses.replace(get_structure("probability"), name="my")
-    m = ModuleFactory(structures={"my": mine}).build_formula_module(f, "my")
+    m = ModuleFactory().build_formula_module(f, mine)
     ref = ModuleFactory().build_formula_module(f, "probability")
     assert float(m.compute([0.5, 0.5])) == 0.75
     assert semantic_loss(m, rows) == semantic_loss(ref, rows)
@@ -85,7 +85,7 @@ def test_loss_reads_a_factory_registered_structure():
     ref_loss, ref_grad = semantic_loss_and_grad(ref, rows)
     assert loss == ref_loss and np.array_equal(grad, ref_grad)
     flags = dataclasses.replace(get_structure("boolean"), name="flags")
-    m = ModuleFactory(structures={"flags": flags}).build_formula_module(f, "flags")
+    m = ModuleFactory().build_formula_module(f, flags)
     with pytest.raises(CompositionError, match="probability or log-structure"):
         semantic_loss(m, rows)
 
