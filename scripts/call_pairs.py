@@ -43,6 +43,9 @@ CALLS = {
     "backward.log": lambda nc, m, batch: nc.layered.backward(m.backend.layered, batch, "log"),
     "evaluate.prob": lambda nc, m, batch: nc.layered.evaluate(m.backend.layered, batch),
     "backward.prob": lambda nc, m, batch: nc.layered.backward(m.backend.layered, batch),
+    # the module called on its probability rows, a 1-D row at batch 1, as
+    # in the benchmark's descend step after each semantic_loss_and_grad
+    "module_call": lambda nc, m, batch: m(batch.probs if batch.batch_size > 1 else batch.probs[0]),
 }
 
 

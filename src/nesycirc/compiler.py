@@ -2,7 +2,7 @@
 
 The compiler runs an exhaustive DPLL search: unit propagation, splitting of
 the live clauses into variable-disjoint connected components (each becomes a
-child of an AND node), and binary decision splits. The decision variable has
+child of an AND node), and decision splits. The decision variable has
 the most occurrences in the shortest residual clauses; ties go to the
 variable that an elimination order of the CNF's primal graph removes last,
 so that decisions cut the constraint graph into components early, as a dtree
@@ -14,35 +14,59 @@ is thus decided from its middle outwards (n log n edges in about log n
 layers), while addition and random CNFs, whose level cuts are wider, are
 decided by degree.
 
-A decision produces ``OR(AND(v, sub_t), AND(~v, sub_f))`` with the decision
-variable recorded on the OR node, which makes the two branches mutually
-inconsistent by construction. The node builder keeps the circuit smooth as
-it goes: each OR's branches are padded to the variables of both with gadgets
-``OR(v, ~v)``, and the root to every declared variable, so no second pass
-rebuilds the circuit. A conjunction stays a tuple of its conjuncts until an
-OR or the root takes it, so a branch's literals, components and gadgets
-become one AND, built once. A component is the tuple of its residual
-clauses (the live clauses with their false literals dropped), and it is its
-own cache key, so a residual subproblem compiles once however it is reached.
-The search is one loop over an explicit stack of components, with no
-recursion.
+A decision on a variable produces ``OR(AND(v, sub_t), AND(~v, sub_f))``
+with the decision variable recorded on the OR node, which makes the two
+branches mutually inconsistent by construction. The node builder keeps the
+circuit smooth as it goes: each OR's branches are padded to the variables
+of both with gadgets ``OR(v, ~v)``, and the root to every declared
+variable, so no second pass rebuilds the circuit. A conjunction stays a
+tuple of its conjuncts until an OR or the root takes it, so a branch's
+literals, components and gadgets become one AND, built once. A component is
+the tuple of its residual clauses (the live clauses with their false
+literals dropped), and it is its own cache key, so a residual subproblem
+compiles once however it is reached. The search is one loop over an
+explicit stack of components, with no recursion.
+
+Exactly-one groups compile to categorical leaves. A group is an
+all-positive clause of at least two input literals whose every pair
+``a, b`` also appears as a clause ``(~a | ~b)``; the groups are taken in
+clause order, skipping one that shares a variable with an earlier group, as
+declared categorical variables such as a digit's ten indicators are
+written (DeepProbLog's annotated disjunctions, the exactly-one constraint
+of Semantic Loss). A group's variables never become literals. When one is
+set true, by a decision or by propagation, its group becomes one ``CAT``
+leaf, whose weight is ``pos_d * prod_{j != d} neg_j`` over the group's
+members: the weight of the one-hot assignment. A member set false adds no
+leaf, as its negative weight is a factor of every other member's CAT leaf,
+and the group's clauses exclude every assignment that is not one-hot. A
+decision on a member branches on every live member of its group at once,
+into one OR whose children each force a different member's CAT leaf; the
+OR records the group's lowest member. A branch that lacks a group is
+padded with the OR of the group's CAT leaves, which counts each of its
+assignments once. A CNF without groups compiles as if the rule did not
+exist.
 
 Circuit files are plain text::
 
     nnfc 1
     nvars <n>
     aux [<id> ...]
+    group <id> <id> ...
     nnodes <k>
     root <id>
     node <id> LIT <signed literal>
+    node <id> CAT <variable of a group>
     node <id> AND <child> <child> ...
-    node <id> OR <decision var> <child> <child>
+    node <id> OR <decision var> <child> <child> ...
     node <id> TRUE
     node <id> FALSE
 
-Node ids are topologically ordered (children before parents). ``c ...`` lines
-are comments; the writer emits the layer structure as comments for
-inspection.
+There is one ``group`` line per group that a ``CAT`` node reads, in the
+order the nodes first read them, and none in a circuit without CAT leaves.
+An OR on a variable has two children; an OR on a group's lowest member has
+one per member it chooses. Node ids are topologically ordered (children
+before parents). ``c ...`` lines are comments; the writer emits the layer
+structure as comments for inspection.
 """
 
 from __future__ import annotations
@@ -62,17 +86,23 @@ __all__ = [
     "save_circuit", "load_circuit",
 ]
 
-_KINDS = ("LIT", "AND", "OR", "TRUE", "FALSE")
-# integer fields after the kind in a circuit file; AND takes any number
-_ARITY = {"LIT": 1, "OR": 3, "TRUE": 0, "FALSE": 0}
+_KINDS = ("LIT", "CAT", "AND", "OR", "TRUE", "FALSE")
+# integer fields after the kind in a circuit file; AND takes any number and
+# OR a decision variable and at least two children
+_ARITY = {"LIT": 1, "CAT": 1, "TRUE": 0, "FALSE": 0}
 
 
 @dataclass(frozen=True)
 class CircuitNode:
+    """A node: ``literal`` is a LIT's signed literal or a CAT leaf's chosen
+    member, and ``group`` the members of a CAT leaf's exactly-one group,
+    lowest first."""
+
     kind: str
     children: tuple[int, ...] = ()
     literal: int = 0
     decision_var: int = 0
+    group: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -81,8 +111,11 @@ class Circuit:
     before their parents, and every AND and OR has at least one.
 
     ``var_masks`` caches the set of variables below each node as a bitmask
-    (bit v-1 for variable v); it is derived from the nodes and excluded from
-    equality.
+    (bit v-1 for variable v); a CAT leaf's set is its group. ``groups``
+    lists the groups of the CAT leaves in the order the nodes first read
+    them. Both are derived from the nodes and excluded from equality. Two
+    CAT leaves read one group or disjoint ones, and no LIT node reads a
+    variable of a group.
     """
 
     num_vars: int
@@ -90,6 +123,8 @@ class Circuit:
     root: int
     aux_vars: frozenset[int] = field(default_factory=frozenset)
     var_masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    groups: tuple[tuple[int, ...], ...] = field(default=(), init=False, compare=False,
+                                                repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -101,17 +136,35 @@ class Circuit:
             raise CircuitError("a circuit needs at least one node")
         if not 0 <= self.root < len(self.nodes):
             raise CircuitError(f"root {self.root} out of range")
+        groups: dict[tuple[int, ...], None] = {}
         for i, node in enumerate(self.nodes):
             if node.kind not in _KINDS:
                 raise CircuitError(f"node {i}: unknown kind {node.kind!r}")
             if node.kind == "LIT":
                 if node.literal == 0 or abs(node.literal) > self.num_vars:
                     raise CircuitError(f"node {i}: literal {node.literal} out of range")
+            elif node.kind == "CAT":
+                g = node.group
+                if (len(g) < 2 or list(g) != sorted(set(g)) or g[0] < 1
+                        or g[-1] > self.num_vars or node.literal not in g):
+                    raise CircuitError(f"node {i}: CAT leaf {node.literal} of group {list(g)} "
+                                       f"is not a member of 2 or more distinct variables "
+                                       f"in range, lowest first")
+                groups[g] = None
             elif node.kind in ("AND", "OR") and not node.children:
                 raise CircuitError(f"node {i}: {node.kind} without children")
             for c in node.children:
                 if not 0 <= c < i:
                     raise CircuitError(f"node {i}: child {c} not topologically earlier")
+        if groups:
+            member = _members(tuple(groups))
+            if len(member) < sum(map(len, groups)):
+                raise CircuitError("the groups of CAT leaves overlap")
+            for i, node in enumerate(self.nodes):
+                if node.kind == "LIT" and abs(node.literal) in member:
+                    raise CircuitError(f"node {i}: literal {node.literal} reads a variable "
+                                       f"of a group, which only CAT leaves may")
+            object.__setattr__(self, "groups", tuple(groups))
         if not self.var_masks:
             object.__setattr__(self, "var_masks", _compute_masks(self.nodes))
 
@@ -120,11 +173,25 @@ class Circuit:
         return self.num_vars - len(self.aux_vars)
 
 
+def _members(groups) -> dict[int, int]:
+    """Each variable of ``groups`` mapped to the index of its group."""
+    return {v: k for k, g in enumerate(groups) for v in g}
+
+
+def _group_mask(group) -> int:
+    mask = 0
+    for v in group:
+        mask |= 1 << (v - 1)
+    return mask
+
+
 def _compute_masks(nodes: tuple[CircuitNode, ...]) -> tuple[int, ...]:
     masks = [0] * len(nodes)
     for i, node in enumerate(nodes):
         if node.kind == "LIT":
             masks[i] = 1 << (abs(node.literal) - 1)
+        elif node.kind == "CAT":
+            masks[i] = _group_mask(node.group)
         else:
             m = 0
             for c in node.children:
@@ -140,14 +207,18 @@ class _Builder:
     A conjunction stays unbuilt until an OR or the root takes it. It is a
     tuple of the ids of its conjuncts, none of them an AND, with ``()`` for
     TRUE and ``None`` for FALSE, so a branch's conjuncts and the gadgets
-    that pad it go into one AND, built once.
+    that pad it go into one AND, built once. ``groups`` are the
+    exactly-one groups whose variables only CAT leaves read.
     """
 
-    def __init__(self, num_vars: int):
+    def __init__(self, num_vars: int, groups=()):
         self.num_vars = num_vars
         self.nodes: list[CircuitNode] = []
         self.masks: list[int] = []
         self._memo: dict = {}
+        self.groups = tuple(groups)
+        self.member = _members(self.groups)
+        self._group_masks = [_group_mask(g) for g in self.groups]
 
     def _add(self, key, node: CircuitNode, mask: int) -> int:
         nid = len(self.nodes)
@@ -162,6 +233,25 @@ class _Builder:
             return hit
         return self._add(literal, CircuitNode("LIT", literal=literal), 1 << (abs(literal) - 1))
 
+    def cat(self, v: int) -> int:
+        """The CAT leaf of group member ``v``."""
+        key = ("C", v)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        k = self.member[v]
+        return self._add(key, CircuitNode("CAT", literal=v, group=self.groups[k]),
+                         self._group_masks[k])
+
+    def leaves(self, lits) -> tuple[int, ...]:
+        """The conjunction of the literals ``lits``: a group member set
+        true is its CAT leaf, one set false adds nothing."""
+        if not self.member:
+            return tuple(map(self.lit, lits))
+        member = self.member
+        return tuple([self.lit(l) if abs(l) not in member else self.cat(l)
+                      for l in lits if l > 0 or -l not in member])
+
     @staticmethod
     def conj(parts: list) -> tuple[int, ...] | None:
         """The conjunction of the conjunctions ``parts``."""
@@ -169,24 +259,36 @@ class _Builder:
             return None
         return tuple(chain.from_iterable(parts))
 
-    def disj(self, a, b, decision_var: int) -> tuple[int, ...] | None:
-        """The conjunction of ``OR(a, b)`` alone, with each branch padded to
-        the variables of both; a FALSE branch folds away. Both branches are
-        padded before either AND is built."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        mask_a, mask_b = self._mask(a), self._mask(b)
-        both = mask_a | mask_b
-        a, b = self._pad(a, both & ~mask_a), self._pad(b, both & ~mask_b)
-        a, b = self._and(a), self._and(b)
-        key = ("O", a, b, decision_var)
+    def disj(self, parts: list, decision_var: int) -> tuple[int, ...] | None:
+        """The conjunction of the OR of the conjunctions ``parts`` alone,
+        with each branch padded to the variables of all; FALSE branches
+        fold away. Every branch is padded before any AND is built."""
+        parts = [p for p in parts if p is not None]
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        masks = [self._mask(p) for p in parts]
+        union = 0
+        for m in masks:
+            union |= m
+        padded = [self._pad(p, union & ~m) for p, m in zip(parts, masks)]
+        kids = tuple([self._and(p) for p in padded])
+        key = ("O", kids, decision_var)
         hit = self._memo.get(key)
         if hit is None:
-            node = CircuitNode("OR", children=(a, b), decision_var=decision_var)
-            hit = self._add(key, node, both)
+            hit = self._add(key, CircuitNode("OR", children=kids, decision_var=decision_var),
+                            union)
         return (hit,)
+
+    def _gadget(self, v: int) -> int:
+        """The OR node of ``v`` and ``~v``, as ``disj`` builds it, without
+        the generic path's lists: padding builds one per missing variable."""
+        kids = (self.lit(v), self.lit(-v))
+        key = ("O", kids, v)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._add(key, CircuitNode("OR", children=kids, decision_var=v),
+                            1 << (v - 1))
+        return hit
 
     def _mask(self, ids) -> int:
         mask = 0
@@ -195,16 +297,21 @@ class _Builder:
         return mask
 
     def _pad(self, ids: tuple[int, ...], missing: int) -> tuple[int, ...]:
-        """``ids`` and a gadget ``OR(v, ~v)`` for each variable of
-        ``missing``, lowest variable first."""
+        """``ids`` and, lowest variable first, a gadget ``OR(v, ~v)`` for
+        each variable of ``missing``, or the OR of a group's CAT leaves for
+        each group (a group's variables are missing together)."""
         if not missing:
             return ids
         extras = list(ids)
         while missing:  # set bits only
-            low = missing & -missing
-            v = low.bit_length()
-            extras += self.disj((self.lit(v),), (self.lit(-v),), v)
-            missing ^= low
+            v = (missing & -missing).bit_length()
+            k = self.member.get(v)
+            if k is None:
+                extras.append(self._gadget(v))
+                missing ^= 1 << (v - 1)
+            else:
+                extras += self.disj([(self.cat(u),) for u in self.groups[k]], v)
+                missing &= ~self._group_masks[k]
         return tuple(extras)
 
     def _and(self, ids: tuple[int, ...]) -> int:
@@ -255,7 +362,8 @@ def _compact(nodes, masks, root):
             if node.children:
                 kids = tuple([remap[c] for c in node.children])
                 if kids != node.children:  # nodes before the first dropped one keep theirs
-                    node = CircuitNode(node.kind, kids, node.literal, node.decision_var)
+                    node = CircuitNode(node.kind, kids, node.literal, node.decision_var,
+                                       node.group)
             new_nodes.append(node)
             new_masks.append(masks[old])
     return tuple(new_nodes), tuple(new_masks), remap[root]
@@ -271,13 +379,16 @@ def compile_cnf(cnf: CNF) -> Circuit:
     CNF (nested dissection at breadth-first level cuts of at most an eighth
     of a part, primal-graph degree elsewhere); units are
     propagated lowest clause first, and components are compiled in the
-    order of their first clause.
+    order of their first clause. A chosen member of an exactly-one group
+    (:func:`_exactly_one_groups`) branches on its group's live members,
+    lowest first; see the module notes.
     Unsatisfiable input yields the single FALSE node.
 
     The search is one loop over an explicit stack of components, so its
     depth is not bounded by the interpreter's recursion limit.
     """
-    builder = _Builder(cnf.num_vars)
+    groups = _exactly_one_groups(cnf.clauses, cnf.aux_vars)
+    builder = _Builder(cnf.num_vars, groups)
     rank = _elimination_rank(cnf.clauses)
     top = None if cnf.unsat else _condition(cnf.clauses, _occurrences(cnf.clauses), ())
     cache: dict[tuple, tuple[int, ...] | None] = {}  # component -> its conjunction
@@ -289,10 +400,10 @@ def compile_cnf(cnf: CNF) -> Circuit:
         parts = [cache[c] for c in comps]
         if None in parts:  # an unsatisfiable component; build no literal for it
             return None
-        return builder.conj([tuple(map(builder.lit, forced))] + parts)
+        return builder.conj([builder.leaves(forced)] + parts)
 
     # entries are [component, None] until the component's branches are
-    # conditioned, then [component, (v, true branch, false branch)]
+    # conditioned, then [component, (decision var, branches)]
     stack = [] if top is None else [[c, None] for c in reversed(top[1])]
     while stack:
         entry = stack[-1]
@@ -301,17 +412,77 @@ def compile_cnf(cnf: CNF) -> Circuit:
             if comp in cache:
                 stack.pop()
                 continue
-            v = _pick_var(comp, rank)
-            occ = _occurrences(comp)
-            entry[1] = split = (v, _condition(comp, occ, (v,)), _condition(comp, occ, (-v,)))
-            for branch in (split[2], split[1]):
+            entry[1] = split = _split(comp, rank, groups, builder.member)
+            for branch in reversed(split[1]):
                 if branch is not None:
                     stack.extend([c, None] for c in reversed(branch[1]))
             continue
         stack.pop()
-        v, sub_t, sub_f = split
-        cache[comp] = builder.disj(branch_node(sub_t), branch_node(sub_f), v)
+        v, branches = split
+        cache[comp] = builder.disj([branch_node(b) for b in branches], v)
     return builder.finish(branch_node(top), cnf.aux_vars)
+
+
+def _split(comp, rank, groups, member):
+    """The decision on the component ``comp``: the variable an OR records
+    and its branches, each a ``_condition`` of ``comp``.
+
+    ``member`` maps each variable of the exactly-one ``groups`` to its
+    group. Decisions do not count the clauses over one group's members
+    alone. A decision on a member sets each live member true in turn and
+    the others false, in clauses without those that every such choice
+    satisfies.
+    """
+    if member:
+        own = [member.get(abs(c[0])) for c in comp]  # the group a clause is over alone
+        own = [k if k is not None and all(member.get(abs(l)) == k for l in c) else None
+               for k, c in zip(own, comp)]
+        v = _pick_var([c for c, k in zip(comp, own) if k is None] or comp, rank)
+        k = member.get(v)
+        if k is not None:
+            # the live members, which the group's residual ALO clause lists
+            live = {abs(l) for c, j in zip(comp, own) if j == k for l in c}
+            rest = tuple([c for c, j in zip(comp, own) if j != k or not _one_hot_sat(c, live)])
+            occ = _occurrences(rest)
+            chosen = [u for u in groups[k] if u in live]
+            return groups[k][0], [_condition(rest, occ, [u] + [-w for w in chosen if w != u])
+                                  for u in chosen]
+    else:
+        v = _pick_var(comp, rank)
+    occ = _occurrences(comp)
+    return v, [_condition(comp, occ, (v,)), _condition(comp, occ, (-v,))]
+
+
+def _one_hot_sat(clause, live: set[int]) -> bool:
+    """Whether every assignment that sets exactly one of the variables
+    ``live`` true satisfies ``clause``, a clause over them alone: two or
+    more negative literals, or a positive literal of each."""
+    if max(clause) < 0:
+        return len(clause) > 1
+    return min(clause) > 0 and live.issubset(clause)
+
+
+def _exactly_one_groups(clauses, aux_vars=frozenset()) -> tuple[tuple[int, ...], ...]:
+    """The disjoint exactly-one groups of input variables of ``clauses``,
+    lowest member first.
+
+    A group is an all-positive clause of at least two input literals whose
+    every pair ``a, b`` is also a clause ``(~a | ~b)``. Clauses are taken
+    in order, and one that shares a variable with an earlier group is
+    skipped. An auxiliary is a definition, not a choice: a Tseitin
+    encoding writes ``a = ~x`` as the group-shaped ``(a | x) & (~a | ~x)``.
+    """
+    pairs = {(min(c), max(c)) for c in clauses if len(c) == 2 and max(c) < 0}
+    if not pairs:
+        return ()
+    groups, taken = [], set()
+    for clause in [c for c in clauses if len(c) > 1 and min(c) > 0 and aux_vars.isdisjoint(c)]:
+        g = sorted(clause)
+        if taken.isdisjoint(g) and all((-b, -a) in pairs for i, a in enumerate(g)
+                                       for b in g[i + 1:]):
+            groups.append(tuple(g))
+            taken.update(g)
+    return tuple(groups)
 
 
 def _occurrences(clauses) -> dict[int, list[int]]:
@@ -522,23 +693,25 @@ def smooth(c: Circuit) -> Circuit:
     The circuit is rebuilt node by node through the same builder as
     :func:`compile_cnf`, which pads every OR's children to the same
     variables and the root to every declared variable with gadgets
-    ``OR(v, ~v)``. :func:`compile_cnf` output is smooth already; this is for
-    circuits from elsewhere. Smoothing a smooth circuit reproduces it
+    ``OR(v, ~v)``, or with the OR of its CAT leaves for a group.
+    :func:`compile_cnf` output is smooth already; this is for circuits
+    from elsewhere. Smoothing a smooth circuit reproduces it
     structurally, and :func:`compile_cnf` output node for node.
     """
     check_properties(c).require("decomposable", "deterministic")
-    builder = _Builder(c.num_vars)
+    builder = _Builder(c.num_vars, c.groups)
     conj: list = [None] * len(c.nodes)  # each node as a builder conjunction; FALSE is None
     for i, node in enumerate(c.nodes):
         if node.kind == "LIT":
             conj[i] = (builder.lit(node.literal),)
+        elif node.kind == "CAT":
+            conj[i] = (builder.cat(node.literal),)
         elif node.kind == "TRUE":
             conj[i] = ()
         elif node.kind == "AND":
             conj[i] = builder.conj([conj[ch] for ch in node.children])
         elif node.kind == "OR":
-            a, b = node.children
-            conj[i] = builder.disj(conj[a], conj[b], node.decision_var)
+            conj[i] = builder.disj([conj[ch] for ch in node.children], node.decision_var)
     return builder.finish(conj[c.root], c.aux_vars)
 
 
@@ -587,13 +760,34 @@ def _forces(c: Circuit, nid: int, lit: int) -> bool:
     return False
 
 
+def _forced_member(c: Circuit, nid: int, group: tuple[int, ...]) -> int | None:
+    """The member of ``group`` whose CAT leaf is reachable from ``nid``
+    through ANDs only, if one is; the search is that of :func:`_forces`."""
+    stack = [nid]
+    seen = set()
+    while stack:
+        i = stack.pop()
+        node = c.nodes[i]
+        if node.kind == "CAT":
+            if node.group == group:
+                return node.literal
+        elif node.kind == "AND" and i not in seen:
+            seen.add(i)
+            stack.extend(reversed(node.children))
+    return None
+
+
 def check_properties(c: Circuit) -> PropertyReport:
     """Check decomposability, determinism, and smoothness.
 
-    Determinism is checked structurally: each OR must carry a decision
-    variable that one child forces positively and the other negatively.
+    Determinism is checked structurally. An OR on a variable must have two
+    children, one forcing the variable positively and the other
+    negatively; an OR on the lowest member of a group of CAT leaves must
+    have at least two children, which force the CAT leaves of pairwise
+    distinct members of the group.
     """
     bad: dict[str, list[int]] = {"decomposable": [], "deterministic": [], "smooth": []}
+    group_of = {g[0]: g for g in c.groups}
     for i, node in enumerate(c.nodes):
         if node.kind == "AND":
             acc = 0
@@ -604,9 +798,15 @@ def check_properties(c: Circuit) -> PropertyReport:
                     break
                 acc |= c.var_masks[ch]
         elif node.kind == "OR":
-            det_ok = (len(node.children) == 2 and node.decision_var > 0
-                      and _forces(c, node.children[0], node.decision_var)
-                      and _forces(c, node.children[1], -node.decision_var))
+            group = group_of.get(node.decision_var)
+            if group is None:
+                det_ok = (len(node.children) == 2 and node.decision_var > 0
+                          and _forces(c, node.children[0], node.decision_var)
+                          and _forces(c, node.children[1], -node.decision_var))
+            else:
+                chosen = [_forced_member(c, ch, group) for ch in node.children]
+                det_ok = (len(chosen) >= 2 and None not in chosen
+                          and len(set(chosen)) == len(chosen))
             if not det_ok and len(bad["deterministic"]) < 5:
                 bad["deterministic"].append(i)
             masks = {c.var_masks[ch] for ch in node.children}
@@ -626,7 +826,8 @@ def model_count(c: Circuit) -> int:
     Requires a smooth, deterministic, decomposable circuit whose root
     mentions every declared variable (what :func:`compile_cnf` and
     :func:`smooth` produce). The count is the layered forward pass over
-    Python integers, so it is exact at any size.
+    Python integers, so it is exact at any size; a CAT leaf, the product of
+    its group's literal weights, counts one model.
     """
     from .layered import LeafBatch, _forward, layerize  # layered imports this module
     lc = layerize(c)
@@ -649,11 +850,13 @@ def circuit_to_text(c: Circuit, comments: list[str] | None = None) -> str:
         lines.append(f"c {comment}")
     lines.append(f"nvars {c.num_vars}")
     lines.append("aux " + " ".join(str(v) for v in sorted(c.aux_vars)) if c.aux_vars else "aux")
+    for g in c.groups:
+        lines.append("group " + " ".join(map(str, g)))
     lines.append(f"nnodes {len(c.nodes)}")
     lines.append(f"root {c.root}")
     for i, node in enumerate(c.nodes):
-        if node.kind == "LIT":
-            lines.append(f"node {i} LIT {node.literal}")
+        if node.kind in ("LIT", "CAT"):
+            lines.append(f"node {i} {node.kind} {node.literal}")
         elif node.kind == "AND":
             lines.append(f"node {i} AND " + " ".join(str(ch) for ch in node.children))
         elif node.kind == "OR":
@@ -666,9 +869,12 @@ def circuit_to_text(c: Circuit, comments: list[str] | None = None) -> str:
 
 def circuit_from_text(text: str) -> Circuit:
     """Parse a circuit file, validating the header (``nvars``, ``aux``,
-    ``nnodes`` and ``root``, each once), ids, kinds, and the structural
-    properties (decomposability and determinism)."""
+    ``nnodes`` and ``root``, each once, and the ``group`` lines), ids,
+    kinds, and the structural properties (decomposability and
+    determinism). The groups must be those the CAT leaves read, in the
+    order they first read them."""
     header: dict[str, str] = {}
+    groups: list[tuple[int, ...]] = []
     nodes: list[CircuitNode] = []
     expect_id = 0
     lines = [ln.strip() for ln in text.splitlines()]
@@ -681,7 +887,7 @@ def circuit_from_text(text: str) -> Circuit:
             try:
                 kind = parts[2]
                 nid, *ints = map(int, parts[1:2] + parts[3:])
-                if len(ints) != _ARITY.get(kind, len(ints)):
+                if len(ints) != _ARITY.get(kind, len(ints)) or kind == "OR" and len(ints) < 3:
                     raise ValueError
             except (IndexError, ValueError):
                 raise CircuitError(f"malformed node record {ln!r}") from None
@@ -692,10 +898,20 @@ def circuit_from_text(text: str) -> Circuit:
             expect_id += 1
             if kind == "LIT":
                 nodes.append(CircuitNode("LIT", literal=ints[0]))
+            elif kind == "CAT":
+                group = next((g for g in groups if ints[0] in g), None)
+                if group is None:
+                    raise CircuitError(f"CAT leaf {ints[0]} is in no group line")
+                nodes.append(CircuitNode("CAT", literal=ints[0], group=group))
             elif kind == "OR":
                 nodes.append(CircuitNode("OR", children=tuple(ints[1:]), decision_var=ints[0]))
             else:
                 nodes.append(CircuitNode(kind, children=tuple(ints)))
+        elif parts[0] == "group":
+            try:
+                groups.append(tuple(map(int, parts[1:])))
+            except ValueError:
+                raise CircuitError(f"malformed group record {ln!r}") from None
         else:
             if (parts[0] not in ("nvars", "aux", "nnodes", "root") or parts[0] in header
                     or len(parts) > 2 and parts[0] != "aux"):
@@ -714,6 +930,9 @@ def circuit_from_text(text: str) -> Circuit:
     if nnodes != len(nodes):
         raise CircuitError(f"declared {nnodes} nodes, found {len(nodes)}")
     circuit = Circuit(num_vars, tuple(nodes), root, aux)
+    if circuit.groups != tuple(groups):
+        raise CircuitError(f"group lines {[list(g) for g in groups]} are not the groups "
+                           f"the CAT leaves read, in order: {[list(g) for g in circuit.groups]}")
     check_properties(circuit).require("decomposable", "deterministic")
     return circuit
 

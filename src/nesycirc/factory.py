@@ -188,8 +188,8 @@ class ModuleFactory:
             try:
                 get_structure(pred.structure)
             except StructureError:
-                raise StructureError(f"predicate {pred.functor!r} references "
-                                     f"unregistered structure {pred.structure!r}") from None
+                raise StructureError(f"predicate {pred.functor!r} has unknown structure "
+                                     f"tag {pred.structure!r}") from None
             preds[pred.functor] = pred
         self._aggregators = aggs
         self._predicates = preds

@@ -16,6 +16,28 @@ variable's derivative is its positive row minus its negative row. The TRUE
 and FALSE columns also fill the two identity pad slots past ``n_slots``.
 Batches must declare the circuit's auxiliary variables.
 
+CAT leaves, one per member of an exactly-one group (see
+:mod:`nesycirc.compiler`), are a second leaf layer, the CAT layer, read
+from the unchanged literal table. The table's groups are padded to the
+largest one's K members and laid out as a (K, G) grid, member t of group g
+at entry ``t * G + g``, with one CAT slot per entry whether a CAT leaf
+reads it or not; the leaf layer holds both literals of every member. Inside
+the semiring, the forward pass gathers each entry's positive literal and
+the seeds of two scans from the leaf slots into work rows past the pads,
+scans those to the exclusive prefix product L_t and suffix product R_t of
+the group's negative literals (``_scan`` along the member axis), and writes
+the entry's CAT value pos_t * L_t * R_t: a handful of numpy calls for all
+groups at once, where literal decisions over the same indicators took a
+layer pair per member. Member pads read the one pad as their negative
+literal, so a group's values do not depend on K or on the other groups of
+the table. The reverse pass pulls the CAT slots' adjoints like any layer's,
+then :func:`_cat_reverse` turns them into the adjoints of the members'
+literals, d/dpos_t = a_t * L_t * R_t and d/dneg_t from two linear
+recurrences, still in the semiring and with no division, so exact at zero
+weights; they land in rows at the end of the reverse buffer, which the
+leaf layer's pulls read as in-edges of those literals. So :func:`backward`
+still returns d/dp per indicator.
+
 Within a layer, slots are ordered by fan-in, and the layer keeps two tables
 (a :class:`Layout`). Its *buckets* are runs of slots of equal fan-in, each
 with a ``(fanin, n)`` block of child slots: the forward pass is one gather
@@ -23,8 +45,8 @@ with a ``(fanin, n)`` block of child slots: the forward pass is one gather
 *pull table* groups the layer's slots by in-degree, each group with a
 ``(d, m)`` block of rows of the reverse buffer: the reverse pass fills a
 layer's adjoints with one gather and one ``reduce(axis=0)`` per group, and
-needs no scatter. That buffer holds one adjoint row per slot and one row
-per product edge. A sum edge passes its parent's adjoint unchanged, so its
+needs no scatter. That buffer holds one adjoint row per slot, one row
+per product edge and the CAT leaf map's rows. A sum edge passes its parent's adjoint unchanged, so its
 row is the parent's own; a product edge's row holds the parent adjoint
 times the product of the edge's siblings, the exclusive prefix scan times
 the exclusive suffix scan (``accumulate(axis=0)``), which is exact at zero
@@ -67,7 +89,8 @@ fan-in with an identity slot (one under products, zero under sums) and to
 its largest in-degree with a zero row. The pad slots sit past
 ``n_slots``. The constant lies between the measured crossovers of a
 value-and-gradient call on a 2-core Xeon host: on the sum-999 addition
-constraint (468 edges) 12 to 16 rows under log and 32 to 40 under
+constraint as compiled to literal leaves only (468 edges) 12 to 16 rows
+under log and 32 to 40 under
 probability, and 4 to 8 rows on a 400-variable implication chain. At
 four rows the merged layout takes about 70% of the per-bucket one's time
 on sum-999.
@@ -87,8 +110,9 @@ table with nothing copied. The budget is in bytes because a row count
 bounds nothing on a large circuit: a 4000-variable implication chain has
 65,035 reverse-buffer rows, 520 KB a column, so a 2048-row tile would be
 1 GB. The budget was measured from 6 to 16 MiB, on an earlier compile of
-the sum-999 addition constraint (480 edges, 633 rows; 621 rows now, still
-five tiles of 1638 or 1639 at 8192 rows): 8 MiB was the fastest and kept
+the sum-999 addition constraint (480 edges, 633 rows; with CAT leaves it
+has 765 rows, six tiles of 1365 or 1366 at 8192 rows): 8 MiB was the
+fastest and kept
 the 1024-row batch whole; the 4000-variable chain at 1024 rows (64 tiles
 of 16) ran within noise of the wider tiles of larger budgets.
 
@@ -159,7 +183,12 @@ prefix and suffix scans, is such an adjoint times the values of some of
 the node's children, a count of the same kind, and a leaf's pulled
 adjoint is a sum of in-edge rows, which the same argument bounds. TRUE
 and FALSE leaves change none of this: they read no variable and weigh one
-or zero. Only nodes that read no variable, TRUE, FALSE and products of
+or zero. Nor do CAT leaves, which need no code here: a CAT value is a
+product of one literal weight per variable of its group, so it is a node
+of the same kind, bounded by the same per-variable factors, and the leaf
+map's scans, recurrences and literal adjoints are partial products and
+sums of the terms of such counts and of adjoints, bounded as the product
+edges' rows are. Only nodes that read no variable, TRUE, FALSE and products of
 them, may be reached twice within one term; their adjoints, which reach
 no variable's leaf, escape the argument.
 Rows that fail for some root, such as weights near 1e-200 on many inputs
@@ -192,7 +221,6 @@ of several roots names the root.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -224,9 +252,39 @@ _RANGE_EXP = 1000
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    kind: str  # "LEAF" | "PROD" | "SUM"
+    kind: str  # "LEAF" | "CAT" | "PROD" | "SUM"
     size: int
     seg_lengths: np.ndarray  # per-node fan-in, in slot order
+
+
+@dataclass(frozen=True, eq=False)
+class _Cats:
+    """The leaf map of a table's CAT layer, over ``G`` groups padded to
+    ``K`` members (see the module notes).
+
+    The CAT layer holds one slot per entry ``t * G + g`` of the (K, G)
+    grid, member t of group g, whether a CAT leaf reads the entry or not.
+    ``table`` holds forward-buffer slots, shape (K, 3, G): member t's
+    positive literal, then the seeds of the exclusive prefix scan (the one
+    pad, then each negative literal but the last) and of the reversed
+    exclusive suffix scan (the one pad, then each negative literal but the
+    first, from the last). Member pads read the zero pad as their positive
+    literal and the one pad as their negative one. ``neg`` holds member
+    t's negative literal and that of member K-1-t, shape (K, 2, G). The
+    reverse map writes d/dpos and d/dneg of every entry to the first
+    ``2 * K * G`` of its rows at the end of the reverse buffer;
+    ``lit_slots`` are the literal leaves of the groups' members and
+    ``lit_rows`` the entries of those rows each one pulls.
+    """
+
+    table: np.ndarray
+    neg: np.ndarray
+    lit_slots: np.ndarray
+    lit_rows: np.ndarray
+
+    @property
+    def grid(self) -> int:
+        return self.table.shape[0] * self.table.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +319,11 @@ class LayeredCircuit:
     # parent's children; the layouts are built from these
     child_slots: np.ndarray
     # per root, a mask of the LeafBatch.literals columns that its circuit's
-    # leaves read, shape (roots, 2 * num_vars + 2); see _underflowed
+    # leaves read, its CAT leaves' groups included, shape
+    # (roots, 2 * num_vars + 2); see _underflowed
     root_cols: np.ndarray
+    # the leaf map of the CAT layer, the table's second, if it has one
+    cats: _Cats | None = None
 
     @property
     def n_inputs(self) -> int:
@@ -271,6 +332,10 @@ class LayeredCircuit:
     @property
     def n_leaves(self) -> int:
         return self.layers[0].size
+
+    @property
+    def n_cats(self) -> int:
+        return 0 if self.cats is None else self.layers[1].size
 
     # the two layouts, each built on first use and kept; see BUCKETED_FROM
     @cached_property
@@ -306,24 +371,36 @@ def layerize(*circuits: Circuit) -> LayeredCircuit:
         raise ValueError(f"circuits layered together must share their inputs; "
                          f"they have {sorted(inputs)} input variables")
     nv = max(c.num_vars for c in circuits)
-    # rank is LEAF, PROD, SUM; key the fan-in, or a leaf's column in
-    # LeafBatch.literals
+    groups = sorted({g for c in circuits for g in c.groups})
+    # rank is LEAF, CAT, PROD, SUM; key the fan-in, a leaf's column in
+    # LeafBatch.literals, or past those columns a CAT leaf's grid entry
+    grid = {(v, g): 2 * nv + 2 + t * len(groups) + k
+            for k, g in enumerate(groups) for t, v in enumerate(g)}
     depth, rank_n, key_n = map(np.concatenate,
-                               zip(*(_node_keys(c.nodes, nv) for c in circuits)))
-    sizes = [len(c.nodes) for c in circuits]
+                               zip(*(_node_keys(c, nv, grid) for c in circuits)))
+    # each circuit's entries are its nodes, then the literal leaves of its groups
+    sizes = [len(c.nodes) + 2 * sum(map(len, c.groups)) for c in circuits]
     base = [0, *accumulate(sizes[:-1])]
+    root_cols = np.zeros((len(circuits), 2 * nv + 2), bool)
+    root_cols[np.repeat(np.arange(len(circuits)), sizes)[rank_n == 0], key_n[rank_n == 0]] = True
+    if groups:  # then one CAT leaf per grid entry, read or not
+        entries = max(map(len, groups)) * len(groups)
+        depth = np.append(depth, np.zeros(entries, np.int64))
+        rank_n = np.append(rank_n, np.ones(entries, np.int64))
+        key_n = np.append(key_n, 2 * nv + 2 + np.arange(entries))
     order = np.lexsort((key_n, rank_n, depth))
-    # a leaf repeating the literal or constant sorted before it shares its slot
-    fresh = np.concatenate(([True], (rank_n[order[1:]] > 0)
+    # a leaf repeating the literal, constant or grid entry sorted before it
+    # shares its slot
+    fresh = np.concatenate(([True], (rank_n[order[1:]] > 1)
                             | (key_n[order[1:]] != key_n[order[:-1]])))
     slot_of = np.empty(len(rank_n), np.int64)
     slot_of[order] = np.cumsum(fresh) - 1
     order = order[fresh]
     n = len(order)
-    fan_n = np.where(rank_n > 0, key_n, 0)
+    fan_n = np.where(rank_n > 1, key_n, 0)
     fan, rank_s, key_s = fan_n[order], rank_n[order], key_n[order]
-    bounds = [*_runs(3 * depth[order] + rank_s).tolist(), n]
-    layers = tuple(Layer(("LEAF", "PROD", "SUM")[rank_s[lo]], hi - lo, fan[lo:hi])
+    bounds = [*_runs(4 * depth[order] + rank_s).tolist(), n]
+    layers = tuple(Layer(("LEAF", "CAT", "PROD", "SUM")[rank_s[lo]], hi - lo, fan[lo:hi])
                    for lo, hi in zip(bounds, bounds[1:]))
     n_edges = int(fan.sum())
     first = np.cumsum(fan) - fan
@@ -331,21 +408,24 @@ def layerize(*circuits: Circuit) -> LayeredCircuit:
     flat = np.fromiter(chain.from_iterable(node.children for c in circuits for node in c.nodes),
                        np.int64, int(fan_n.sum()))
     if len(circuits) > 1:  # children are numbered within their circuit
-        flat += np.repeat(np.repeat(base, sizes), fan_n)
+        flat += np.repeat(np.repeat(base, sizes), fan_n[:sum(sizes)])
     kids = slot_of[flat[np.repeat(node_first[order] - first, fan) + np.arange(n_edges)]]
-    root_cols = np.zeros((len(circuits), 2 * nv + 2), bool)
-    root_cols[np.repeat(np.arange(len(circuits)), sizes)[rank_n == 0], key_n[rank_n == 0]] = True
+    leaf_cols = key_s[:layers[0].size]
     return LayeredCircuit(
         num_vars=nv, aux_vars=frozenset(range(inputs.pop() + 1, nv + 1)), n_slots=n,
         root_slots=slot_of[[b + c.root for b, c in zip(base, circuits)]],
-        layers=layers, leaf_cols=key_s[:layers[0].size], child_slots=kids,
-        root_cols=root_cols,
+        layers=layers, leaf_cols=leaf_cols, child_slots=kids, root_cols=root_cols,
+        cats=_cat_map(groups, nv, n, leaf_cols) if groups else None,
     )
 
 
-def _node_keys(nodes, nv: int) -> tuple[list[int], list[int], list[int]]:
-    """Each node's depth, rank and key (see layerize), its leaves keyed by
-    their columns in a literal table of ``nv`` variables."""
+def _node_keys(c: Circuit, nv: int, grid: dict) -> tuple[list[int], list[int], list[int]]:
+    """Each entry's depth, rank and key (see layerize): the nodes of ``c``,
+    its leaves keyed by their columns in a literal table of ``nv``
+    variables and its CAT leaves by ``grid``, which maps a member and its
+    group to the key of the member's grid entry, then a literal leaf for
+    each literal of its groups."""
+    nodes = c.nodes
     depth = [0] * len(nodes)
     rank = [0] * len(nodes)
     key = [0] * len(nodes)
@@ -353,13 +433,41 @@ def _node_keys(nodes, nv: int) -> tuple[list[int], list[int], list[int]]:
         kind = node.kind
         if kind in ("AND", "OR"):
             depth[i] = 1 + max(depth[ch] for ch in node.children)
-            rank[i] = 1 if kind == "AND" else 2
+            rank[i] = 2 if kind == "AND" else 3
             key[i] = len(node.children)
         elif kind == "LIT":
             key[i] = node.literal - 1 if node.literal > 0 else nv - node.literal - 1
+        elif kind == "CAT":
+            rank[i] = 1
+            key[i] = grid[node.literal, node.group]
         else:
             key[i] = 2 * nv if kind == "TRUE" else 2 * nv + 1
-    return depth, rank, key
+    for g in c.groups:
+        key += [v - 1 for v in g] + [nv + v - 1 for v in g]
+    extra = len(key) - len(nodes)
+    return depth + [0] * extra, rank + [0] * extra, key
+
+
+def _cat_map(groups, nv: int, n: int, leaf_cols: np.ndarray) -> _Cats:
+    """The leaf map of ``groups`` in a table of ``n`` slots whose literal
+    leaves read ``leaf_cols``."""
+    slot = np.empty(2 * nv + 2, np.int64)
+    slot[leaf_cols] = np.arange(len(leaf_cols))
+    one, zero = n, n + 1
+    K, G = max(map(len, groups)), len(groups)
+    pos = np.full((K, G), zero)
+    neg = np.full((K, G), one)
+    for k, g in enumerate(groups):
+        pos[:len(g), k] = slot[np.subtract(g, 1)]
+        neg[:len(g), k] = slot[np.add(g, nv - 1)]
+    table = np.full((K, 3, G), one)
+    table[:, 0] = pos
+    table[1:, 1] = neg[:-1]
+    table[1:, 2] = neg[:0:-1]
+    real = np.flatnonzero(pos.ravel() != zero)
+    return _Cats(table=table, neg=np.stack([neg, neg[::-1]], axis=1),
+                 lit_slots=np.concatenate([pos.ravel()[real], neg.ravel()[real]]),
+                 lit_rows=np.concatenate([real, K * G + real]))
 
 
 def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
@@ -369,7 +477,7 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     Slot ``n`` holds the product identity and slot ``n + 1`` the sum
     identity, in the forward and the reverse buffer alike.
     """
-    layers, n, n_leaves = lc.layers, lc.n_slots, lc.n_leaves
+    layers, n, inner = lc.layers, lc.n_slots, lc.n_leaves + lc.n_cats
     roots, kids = lc.root_slots, lc.child_slots
     one, zero = n, n + 1
     prod = np.array([layer.kind == "PROD" for layer in layers])
@@ -379,14 +487,14 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     parent = np.repeat(np.arange(n), fan)
     position = np.arange(len(kids)) - (np.cumsum(fan) - fan)[parent]
 
-    # buckets: runs of non-leaf slots, a whole layer or a run of one fan-in
-    key = layer_of[n_leaves:]
+    # buckets: runs of inner slots, a whole layer or a run of one fan-in
+    key = layer_of[inner:]
     if not merged:
-        key = key * (fan.max() + 1) + fan[n_leaves:]
-    starts = n_leaves + _runs(key)
+        key = key * (fan.max() + 1) + fan[inner:]
+    starts = inner + _runs(key)
     stops = np.append(starts, n)[1:]
     is_prod = prod[layer_of[starts]]
-    bucket = np.repeat(np.arange(len(starts)), stops - starts)[parent - n_leaves]
+    bucket = np.repeat(np.arange(len(starts)), stops - starts)[parent - inner]
     width, m = fan[stops - 1], stops - starts  # fan-in is sorted within a layer
     j = parent - starts[bucket]
     children = _blocks(bucket, j, position, kids, width, m, np.where(is_prod, one, zero))
@@ -396,7 +504,13 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     row = np.where(is_prod[bucket], first_row[bucket] + position * m[bucket] + j, parent)
 
     # pulls: every slot's in-edges, the roots' pinned to the one row and
-    # those of unreachable slots to the zero row
+    # those of unreachable slots to the zero row; a group's literal leaves
+    # pull the rows the CAT leaf map writes past the product edges'
+    n_rows = n + 2 + int(prod_size.sum())
+    if lc.cats is not None:  # and the leaf map's work rows after them
+        kids = np.concatenate([kids, lc.cats.lit_slots])
+        row = np.concatenate([row, n_rows + lc.cats.lit_rows])
+        n_rows += 8 * lc.cats.grid
     indeg = np.bincount(kids, minlength=n)
     orphans = np.setdiff1d(np.flatnonzero(indeg == 0), roots)
     child = np.concatenate([kids, roots, orphans])
@@ -423,8 +537,7 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     for g, (lo, hi) in enumerate(zip(gstarts.tolist(), gstops.tolist())):
         slots = slice(lo, hi) if merged else slot_order[lo:hi]
         pulls[layer_of[slot_order[lo]]].append((slots, rows[g]))
-    return Layout(tuple(map(tuple, buckets)), tuple(map(tuple, pulls)),
-                  n + 2 + int(prod_size.sum()))
+    return Layout(tuple(map(tuple, buckets)), tuple(map(tuple, pulls)), n_rows)
 
 
 def _runs(key: np.ndarray) -> np.ndarray:
@@ -574,12 +687,27 @@ def _reduce(op: np.ufunc, x: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 def _forward(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring) -> np.ndarray:
-    """The forward buffer of the rows of a literal table (see LeafBatch)."""
-    buf = np.empty((lc.n_slots + 2, len(literals)), dtype=sr.dtype)
+    """The forward buffer of the rows of a literal table (see LeafBatch):
+    every slot, the pads, then the work rows of the CAT leaf map."""
+    cats, n = lc.cats, lc.n_slots
+    buf = np.empty((n + 2 + (0 if cats is None else 3 * cats.grid), len(literals)),
+                   dtype=sr.dtype)
     # take along axis 1: on sum-999's 128-column table at 8192 rows it
     # gathers about 4x faster than literals[:, leaf_cols]
     buf[:lc.n_leaves] = sr.leaf(literals.take(lc.leaf_cols, axis=1).T)
-    buf[lc.n_slots:] = sr.leaf(literals[:, -2:].T)  # the pads: TRUE, FALSE
+    buf[n:n + 2] = sr.leaf(literals[:, -2:].T)  # the pads: TRUE, FALSE
+    if cats is not None:
+        # pos_t, L_t and R_{K-1-t} of every grid entry, gathered from the
+        # leaf slots and scanned; the entry's CAT slot is pos_t * L_t * R_t
+        K, _, G = cats.table.shape
+        work = buf[n + 2:].reshape(K, 3, G, -1)
+        # a gather into rows of its own source array copies the whole
+        # array first; the slots and pads are a disjoint view
+        buf[:n + 2].take(cats.table.ravel(), axis=0, out=buf[n + 2:], mode="clip")
+        _scan(sr.mul, work[:, 1:])
+        grid = buf[lc.n_leaves:lc.n_leaves + K * G].reshape(K, G, -1)
+        sr.mul(work[:, 0], work[:, 1], out=grid)
+        sr.mul(grid, work[::-1, 2], out=grid)
     layout = lc._layout_for(len(literals))
     for layer, buckets in zip(lc.layers, layout.buckets):
         op = sr.mul if layer.kind == "PROD" else sr.add
@@ -850,12 +978,53 @@ def _reverse(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
             suffix = buf.take(children[:0:-1], axis=0, mode="clip")
             _scan(sr.mul, suffix)
             sr.mul(out[:-1], suffix[::-1], out=out[:-1])
+    if lc.cats is not None:
+        _cat_reverse(lc, buf, adj, sr)
     # the leaf pulls leave the semiring: finish each in-edge, sum linearly
     for slots, rows in layout.pulls[0]:
         adj[slots] = sr.finish(adj.take(rows[0], axis=0, mode="clip"), root) \
             if len(rows) == 1 else \
             _reduce(np.add, sr.finish(adj.take(rows, axis=0, mode="clip"), root))
     return adj
+
+
+def _cat_reverse(lc: LayeredCircuit, buf: np.ndarray, adj: np.ndarray, sr: Semiring) -> None:
+    """The CAT leaf map's reverse: from the CAT slots' adjoints, write the
+    adjoints of each grid entry's positive and negative literal, d/dpos
+    then d/dneg, in the semiring, to the first of the ``8 * K * G`` rows
+    at the end of the reverse buffer ``adj``; the rest are work rows.
+
+    With a_t the adjoint of entry t and c_t = a_t * pos_t, d/dpos_t is
+    a_t * L_t * R_t, and d/dneg_t is F_t * R_t + L_t * H_t, where
+    F_{t+1} = F_t * neg_t + c_t * L_t and H_{t-1} = H_t * neg_t + c_t * R_t
+    from F_0 = H_{K-1} = 0 sum the entries before and after t: two linear
+    recurrences, run as one over a stacked pair, with no division.
+    """
+    cats = lc.cats
+    K, _, G = cats.table.shape
+    B = buf.shape[1]
+    work = buf[lc.n_slots + 2:].reshape(K, 3, G, B)
+    pos, left, right = work[:, 0], work[:, 1], work[::-1, 2]
+    alpha = adj[lc.n_leaves:lc.n_leaves + K * G].reshape(K, G, B)
+    rows = adj[len(adj) - 8 * K * G:]
+    out = rows[:2 * K * G].reshape(2, K, G, B)
+    # c_t * L_t and, reversed, c_t * R_t feed F and H; acc holds F_t and
+    # H_{K-1-t}, and neg the matching negative literals
+    feed, acc, neg = rows[2 * K * G:].reshape(3, K, 2, G, B)
+    sr.mul(alpha, left, out=feed[:, 0])
+    sr.mul(feed[:, 0], right, out=out[0])
+    sr.mul(feed[:, 0], pos, out=feed[:, 0])
+    sr.mul(alpha[::-1], pos[::-1], out=feed[:, 1])
+    sr.mul(feed[:, 1], work[:, 2], out=feed[:, 1])
+    buf[:lc.n_slots + 2].take(cats.neg.ravel(), axis=0, out=neg.reshape(2 * K * G, B),
+                              mode="clip")
+    acc[0] = sr.zero
+    for t in range(K - 1):
+        sr.mul(acc[t], neg[t], out=acc[t + 1])
+        sr.add(acc[t + 1], feed[t], out=acc[t + 1])
+    sr.mul(acc[:, 0], right, out=out[1])
+    sr.mul(left, acc[::-1, 1], out=feed[:, 0])
+    sr.add(out[1], feed[:, 0], out=out[1])
 
 
 def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, lin):
@@ -887,51 +1056,44 @@ def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semirin
 def evaluate_recursive(c: Circuit, batch: LeafBatch, structure="probability") -> np.ndarray:
     """Reference implementation: one memoized tree walk per batch row.
 
-    Matches :func:`evaluate`'s loops node for node (children reduced left
-    to right) and serves as the unbatched timing baseline. Under log it
-    walks in log space, which :func:`evaluate` leaves for the linear pass
-    on rows in range (see the module notes), so there the two may differ
-    in the last bits.
+    Each node combines its children with the structure's semiring, left to
+    right, as :func:`evaluate`'s loops do, and a CAT leaf is its positive
+    literal times the product of its group's negative literals before it,
+    times that of those after it, last first, as in the leaf map. It
+    serves as the unbatched timing baseline. Under log it walks in log
+    space, which :func:`evaluate` leaves for the linear pass on rows in
+    range (see the module notes), so there the two may differ in the last
+    bits.
     """
     s = get_structure(structure)
     _check_compatible(c, batch, s)
-    log = s.name == "log_probability"
-    neg_inf = float("-inf")
-    out = np.empty(batch.batch_size)
+    sr = s.semiring
+    mul, add = sr.mul, sr.add
+    out = np.empty(batch.batch_size, dtype=sr.dtype)
     nodes = c.nodes
     for b in range(batch.batch_size):
-        pos = batch.pos[b]
-        neg = batch.neg[b]
-        vals: list[float] = [0.0] * len(nodes)
+        pos = sr.leaf(batch.pos[b])
+        neg = sr.leaf(batch.neg[b])
+        vals: list = [sr.zero] * len(nodes)
         for i, node in enumerate(nodes):
             kind = node.kind
             if kind == "LIT":
-                w = pos[abs(node.literal) - 1] if node.literal > 0 \
-                    else neg[abs(node.literal) - 1]
-                vals[i] = (math.log(w) if w > 0.0 else neg_inf) if log else w
-            elif kind == "AND":
+                vals[i] = pos[node.literal - 1] if node.literal > 0 else neg[-node.literal - 1]
+            elif kind in ("AND", "OR"):
+                op = mul if kind == "AND" else add
                 acc = vals[node.children[0]]
-                if log:
-                    for ch in node.children[1:]:
-                        acc += vals[ch]
-                else:
-                    for ch in node.children[1:]:
-                        acc *= vals[ch]
+                for ch in node.children[1:]:
+                    acc = op(acc, vals[ch])
                 vals[i] = acc
-            elif kind == "OR":
-                if log:
-                    cv = [vals[ch] for ch in node.children]
-                    m = max(cv)
-                    vals[i] = neg_inf if m == neg_inf \
-                        else m + math.log(sum(math.exp(v - m) for v in cv))
-                else:
-                    acc = vals[node.children[0]]
-                    for ch in node.children[1:]:
-                        acc += vals[ch]
-                    vals[i] = acc
+            elif kind == "CAT":
+                d = node.group.index(node.literal)
+                left = right = sr.one
+                for v in node.group[:d]:
+                    left = mul(left, neg[v - 1])
+                for v in node.group[:d:-1]:
+                    right = mul(right, neg[v - 1])
+                vals[i] = mul(mul(pos[node.literal - 1], left), right)
             elif kind == "TRUE":
-                vals[i] = 0.0 if log else 1.0
-            else:
-                vals[i] = neg_inf if log else 0.0
+                vals[i] = sr.one
         out[b] = vals[c.root]
     return out

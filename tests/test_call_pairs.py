@@ -65,3 +65,25 @@ def test_script_imports_nothing_from_the_benchmark():
              for alias in node.names]
     names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert not {name.split(".")[0] for name in names} & bench
+
+
+def test_module_call_is_the_one_row_call_of_a_descend_step(tmp_path, monkeypatch):
+    """``module_call`` calls the module on a 1-D row at batch 1, as the
+    benchmark's descend step does after each semantic_loss_and_grad, and
+    on the rows of a larger batch; both checkouts time it under its name."""
+    cp = _load(monkeypatch)
+    prepared = cp.prepare(nesycirc, [1, 3])
+    m = prepared["module"]
+    for b, batch in prepared["batches"].items():
+        got = cp.CALLS["module_call"](nesycirc, m, batch)
+        want = nesycirc.layered.evaluate(m.backend.layered, batch)
+        assert np.array_equal(np.reshape(got, -1), want[:1] if b == 1 else want)
+    monkeypatch.setattr(cp, "BUDGET_S", 1e-4)
+    out = tmp_path / "calls.json"
+    try:
+        assert cp.main(["--parent", str(ROOT), "--change", str(ROOT), "--calls", "module_call",
+                        "--batches", "1", "--rounds", "2", "--out", str(out)]) == 0
+    finally:
+        for key in [k for k in sys.modules if k.startswith(("nesycirc_parent", "nesycirc_change"))]:
+            del sys.modules[key]
+    assert sorted(json.loads(out.read_text())["calls"]) == ["module_call.b1"]

@@ -465,4 +465,4 @@ def test_compile_output_pinned():
     digest = hashlib.sha256()
     for cnf in _pinned_corpus():
         digest.update(circuit_to_text(compile_cnf(cnf)).encode())
-    assert digest.hexdigest() == "050ef5deeec51eab1b6e04f211a1919d65270a6e0d33ed85f8a39f69887534cb"
+    assert digest.hexdigest() == "1b97978174a164b2cd58828eedf695ad67730c0c4239ad73f1e3b2420333983b"

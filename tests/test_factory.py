@@ -237,7 +237,8 @@ def test_predicate_registration_errors():
     with pytest.raises(CompositionError, match="must be Predicate instances"):
         ModuleFactory(predicates=("eq",))
     bad = Predicate("p", 1, "no_such_structure", lambda x: x)
-    with pytest.raises(StructureError, match="unregistered structure"):
+    with pytest.raises(StructureError,
+                       match="^predicate 'p' has unknown structure tag 'no_such_structure'$"):
         ModuleFactory(predicates=(bad,))
 
 
@@ -374,7 +375,7 @@ def test_predicate_structure_resolves_aliases():
     f = ModuleFactory(predicates=[Predicate("p", 1, "log", lambda x: np.log(x))])
     out = f.apply_predicate("p", np.array([0.5]))
     assert out.output_spec[0].structure == "log_probability"
-    with pytest.raises(StructureError, match="references unregistered structure 'zadeh'"):
+    with pytest.raises(StructureError, match="predicate 'q' has unknown structure tag 'zadeh'"):
         ModuleFactory(predicates=[Predicate("q", 1, "zadeh", lambda x: x)])
 
 

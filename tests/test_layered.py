@@ -90,9 +90,11 @@ def test_log_of_zero_mass_row(ex1_layered):
 def test_layered_equals_recursive(cnf, seed):
     c = smooth(compile_cnf(cnf))
     lc = layerize(c)
-    # one leaf slot per literal or constant, which compile_cnf memoizes
+    # one leaf slot per literal or constant, which compile_cnf memoizes, and
+    # per literal of a group that CAT leaves read
     assert np.all(np.diff(lc.leaf_cols) > 0)
-    assert lc.n_leaves == sum(node.kind in ("LIT", "TRUE", "FALSE") for node in c.nodes)
+    assert lc.n_leaves == sum(node.kind in ("LIT", "TRUE", "FALSE") for node in c.nodes) \
+        + 2 * sum(map(len, c.groups))
     rng = np.random.default_rng(seed)
     batch = LeafBatch.from_probabilities(_rows(rng, cnf.num_vars, b=3))
     for s in ("probability", "log"):
