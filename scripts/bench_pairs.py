@@ -5,7 +5,9 @@ For every seed and workload, ``nesybench/run.py --workload W --seed S
 checkout, each in its own process and one after the other; odd seeds run
 the parent first, even seeds the change. The record written to ``--out``
 (``BENCH_<n>.json`` by convention) holds the host (CPU, core count, Python
-and numpy versions), every run, and per workload and end-to-end metric the
+and numpy versions), the commit each checkout is at and whether its tree
+has changes (null for a directory that is not a git checkout), every run,
+and per workload and end-to-end metric the
 quartiles of each side, the change's wins and ties over the pairs, the
 parent's interquartile range, and whether the change stays within the
 metric's bound. With ``--claim W:metric`` it also says whether the claim
@@ -119,6 +121,23 @@ def claim_met(summary: dict, workload: str, metric: str) -> bool:
                 and m["median_gain_exceeds_parent_iqr"])
 
 
+def checkout_state(path: Path) -> dict | None:
+    """``git rev-parse HEAD`` of a checkout and whether ``git status`` lists
+    any change or untracked file; None when ``path`` is not the top of a
+    git checkout, or git is missing."""
+    def git(*args) -> str | None:
+        try:
+            proc = subprocess.run(["git", *args], cwd=path, capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != path.resolve():
+        return None
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
 def host() -> dict:
     cpu = platform.processor()
     try:
@@ -146,6 +165,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w.strip() for w in args.workloads.split(",")]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    states = {side: checkout_state(path) for side, path in checkouts.items()}
     runs = []
     for seed in parse_seeds(args.seeds):
         order = SIDES if seed % 2 else SIDES[::-1]
@@ -162,7 +182,7 @@ def main(argv=None) -> int:
     record = {"description": args.description,
               "command": f"python3 nesybench/run.py --workload W --seed S "
                          f"--seconds {args.seconds:g}",
-              "host": host()}
+              "host": host(), "checkouts": states}
     if args.claim:
         workload, metric = args.claim.split(":")
         better = next(m["better"] for m in bench["end_to_end"] if m["name"] == metric)

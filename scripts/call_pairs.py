@@ -35,6 +35,20 @@ SEED = 0
 # seconds of calls of one side in a round; the call count is calibrated to it
 BUDGET_S = 0.02
 
+# the step size and bounds of tasks.descend_semantic_loss, which the
+# benchmark's descend workload also uses
+STEP_SIZE, LO, HI = 0.05, 0.001, 0.999
+
+
+def descend_step(nc, m, batch):
+    """One step of the benchmark's descend loop from the batch's first row:
+    semantic_loss_and_grad on the row, the clipped update, then the module
+    on the updated 1-D row."""
+    x = batch.probs[0]
+    _, grad = nc.tasks.semantic_loss_and_grad(m, x[None, :])
+    return m(np.clip(x - STEP_SIZE * grad[0], LO, HI))
+
+
 # each call takes the loaded package, the sum-999 module and a LeafBatch
 CALLS = {
     "semantic_loss_and_grad": lambda nc, m, batch: nc.tasks.semantic_loss_and_grad(m, batch),
@@ -46,6 +60,10 @@ CALLS = {
     # the module called on its probability rows, a 1-D row at batch 1, as
     # in the benchmark's descend step after each semantic_loss_and_grad
     "module_call": lambda nc, m, batch: m(batch.probs if batch.batch_size > 1 else batch.probs[0]),
+    # the literal table of the batch's probability rows, built again
+    "leaf_batch": lambda nc, m, batch: nc.layered.LeafBatch.from_probabilities(
+        batch.probs, num_vars=batch.num_vars, aux_vars=batch.aux_vars),
+    "descend_step": descend_step,
 }
 
 

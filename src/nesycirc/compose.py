@@ -203,9 +203,9 @@ def _violations(module: str, role: str, specs, arrays) -> list[Violation]:
             out.append(Violation(module, tensor, (), None,
                                  f"shape {arr.shape} does not match {spec.shape}"))
             continue
-        bad = ~spec.semantics.carrier.contains(arr)
-        if bad.any():
-            for idx in np.argwhere(bad)[:5]:
+        ok = spec.semantics.carrier.contains(arr)
+        if not ok.all():
+            for idx in np.argwhere(~ok)[:5]:
                 index = tuple(int(i) for i in idx)
                 val = float(arr[index]) if index else float(arr)
                 out.append(Violation(module, tensor, index, val,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -248,14 +248,75 @@ def serialize_dimacs(cnf: CNF) -> str:
 class Formula:
     """Base class for formula AST nodes.
 
-    Nodes are frozen dataclasses, so ``==``, ``hash`` and ``repr`` recurse
-    the formula as a tree: ``hash`` of a 3000-deep ``And`` chain raises
-    ``RecursionError``, and on the NNF of nested ``<->``, a DAG, they take
-    time exponential in the nesting. The formula passes here walk the DAG
-    by identity instead (:func:`_walk`).
+    Nodes are frozen dataclasses. The leaves (:class:`Var`, :class:`TrueF`
+    and :class:`FalseF`) keep the dataclass ``==``, ``hash`` and ``repr``;
+    the connectives take theirs from here, and these walk the formula as a
+    DAG (:func:`_walk`), with no Python recursion and in time linear in its
+    distinct nodes. So a 3000-deep ``And`` chain hashes, compares and
+    prints, and the NNF of nested ``<->``, which shares subformulas, hashes
+    in linear time though the tree it unfolds to doubles with each one.
+
+    ``hash`` combines a node's class with its children's hashes, bottom up,
+    and is cached on every connective it reaches. ``==`` is structural, as
+    the dataclass one is: where two formulas of one class hash alike, both
+    are numbered over one table keyed by a node's class and its children's
+    numbers (a leaf by itself), and they are equal when their roots get one
+    number. ``repr`` prints what the dataclass ``repr`` prints.
     """
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            nodes, kids = _walk(self)
+            hashes: list[int] = []
+            for node, ks in zip(nodes, kids):
+                h = getattr(node, "_hash", None) if ks else hash(node)
+                if h is None:
+                    h = hash((type(node), *[hashes[k] for k in ks]))
+                    object.__setattr__(node, "_hash", h)
+                hashes.append(h)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        table: dict[tuple, int] = {}
+        return _number(self, table) == _number(other, table)
+
+    def __repr__(self) -> str:
+        out, stack = [], [(False, self)]
+        while stack:
+            text, item = stack.pop()
+            if text:
+                out.append(item)
+            elif isinstance(item, Formula) and type(item).__repr__ is Formula.__repr__:
+                parts = [(True, f"{type(item).__qualname__}(")]
+                for k, f in enumerate(fields(item)):
+                    parts += [(True, f"{', ' if k else ''}{f.name}="),
+                              (False, getattr(item, f.name))]
+                parts.append((True, ")"))
+                stack += reversed(parts)
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
+
+def _number(f: Formula, table: dict[tuple, int]) -> int:
+    """The number of f's structure in ``table``, which numbers every node
+    of f it has not seen by its class and its children's numbers, a leaf
+    by the leaf itself; structurally equal nodes get one number."""
+    nodes, kids = _walk(f)
+    ids: list[int] = []
+    for node, ks in zip(nodes, kids):
+        key = (type(node), *[ids[k] for k in ks]) if ks else (None, node)
+        ids.append(table.setdefault(key, len(table)))
+    return ids[-1]
 
 
 @dataclass(frozen=True)
@@ -273,30 +334,30 @@ class Var(Formula):
         return self.name or f"v{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula

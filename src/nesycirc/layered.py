@@ -270,7 +270,8 @@ class _Cats:
     exclusive suffix scan (the one pad, then each negative literal but the
     first, from the last). Member pads read the zero pad as their positive
     literal and the one pad as their negative one. ``neg`` holds member
-    t's negative literal and that of member K-1-t, shape (K, 2, G). The
+    t's negative literal and that of member K-1-t, raveled from shape
+    (K, 2, G). The
     reverse map writes d/dpos and d/dneg of every entry to the first
     ``2 * K * G`` of its rows at the end of the reverse buffer;
     ``lit_slots`` are the literal leaves of the groups' members and
@@ -289,20 +290,32 @@ class _Cats:
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """The forward and reverse tables of every layer, bottom up.
+    """The forward and reverse loops of a table as flat lists of steps.
 
-    ``buckets[k]`` lists layer k's ``(start, stop, children, first_row)``:
-    slots ``start:stop`` reduce the ``(fanin, stop - start)`` block of child
-    slots ``children``; in a product layer, the bucket's edges own the
-    reverse-buffer rows ``first_row`` onward, child-major. ``pulls[k]``
-    lists layer k's ``(slots, rows)``: the adjoints of ``slots`` are the
-    sums over axis 0 of the ``(d, m)`` reverse-buffer ``rows``.
-    ``n_rows`` is the reverse buffer's length.
+    ``forward`` lists every bucket bottom up as ``(prod, start, stop,
+    children)``: slots ``start:stop`` reduce the ``(fanin, stop - start)``
+    block of child slots ``children`` with the semiring's ``mul`` if
+    ``prod`` is 1 and with its ``add`` if 0. ``reverse`` runs top down
+    over the layers above the leaves: first a layer's pull groups
+    ``(_PULL, slots, rows)``, whose adjoints are the sums over axis 0 of
+    the ``(d, m)`` reverse-buffer ``rows``, or where d is one a gather of
+    the 1-D ``rows``; then, in a product layer, each
+    bucket's ``(_EDGES, lo, hi, fanin, m, start, stop, head, tail)``: its
+    edges own the reverse-buffer rows ``lo:hi``, child-major, its slots
+    are ``start:stop``, and ``head`` and ``tail`` are its child block but
+    the last row and, reversed, but the first. ``leaf_pulls`` are the leaf
+    layer's ``(slots, rows)``, alike. ``n_rows``
+    is the reverse buffer's length. So the loops do no per-layer work
+    beyond their numpy calls and the start rule of :func:`_reduce`.
     """
 
-    buckets: tuple[tuple[tuple[int, int, np.ndarray, int], ...], ...]
-    pulls: tuple[tuple[tuple[slice | np.ndarray, np.ndarray], ...], ...]
+    forward: tuple
+    reverse: tuple
+    leaf_pulls: tuple
     n_rows: int
+
+
+_PULL, _EDGES = range(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,7 +478,7 @@ def _cat_map(groups, nv: int, n: int, leaf_cols: np.ndarray) -> _Cats:
     table[1:, 1] = neg[:-1]
     table[1:, 2] = neg[:0:-1]
     real = np.flatnonzero(pos.ravel() != zero)
-    return _Cats(table=table, neg=np.stack([neg, neg[::-1]], axis=1),
+    return _Cats(table=table, neg=np.stack([neg, neg[::-1]], axis=1).ravel(),
                  lit_slots=np.concatenate([pos.ravel()[real], neg.ravel()[real]]),
                  lit_rows=np.concatenate([real, K * G + real]))
 
@@ -530,14 +543,24 @@ def _layout(lc: LayeredCircuit, merged: bool) -> Layout:
     rows = _blocks(group[child], place[child], rank, src,
                    np.maximum.reduceat(indeg[slot_order], gstarts), gstops - gstarts, zero)
 
-    buckets = [[] for _ in layers]
+    forward, edges = [], [[] for _ in layers]
     for b, (lo, hi) in enumerate(zip(starts.tolist(), stops.tolist())):
-        buckets[layer_of[lo]].append((lo, hi, children[b], int(first_row[b])))
+        k, block = layer_of[lo], children[b]
+        fanin, m = block.shape
+        forward.append((int(prod[k]), lo, hi, block))
+        if prod[k]:
+            first = int(first_row[b])
+            edges[k].append((_EDGES, first, first + fanin * m, fanin, m, lo, hi,
+                             block[:-1], block[:0:-1].copy()))
     pulls = [[] for _ in layers]
     for g, (lo, hi) in enumerate(zip(gstarts.tolist(), gstops.tolist())):
         slots = slice(lo, hi) if merged else slot_order[lo:hi]
-        pulls[layer_of[slot_order[lo]]].append((slots, rows[g]))
-    return Layout(tuple(map(tuple, buckets)), tuple(map(tuple, pulls)), n_rows)
+        block = rows[g] if len(rows[g]) > 1 else rows[g][0]  # in-degree one: a gather
+        pulls[layer_of[slot_order[lo]]].append((_PULL, slots, block))
+    # top down: a layer's pulls, then its product edges
+    reverse = [step for k in range(len(layers) - 1, 0, -1) for step in pulls[k] + edges[k]]
+    leaf = [step[1:] for step in pulls[0]]
+    return Layout(tuple(forward), tuple(reverse), tuple(leaf), n_rows)
 
 
 def _runs(key: np.ndarray) -> np.ndarray:
@@ -575,22 +598,27 @@ def layer_summary(lc: LayeredCircuit) -> str:
 
 _PROBABILITIES = get_structure("probability").carrier
 _WEIGHTS = Carrier(lambda w: w >= 0.0, "is not >= 0")
+# the weights of the TRUE and FALSE rows of a literal table
+_CONSTANTS = np.array([[1.0], [0.0]])
 
 
 @dataclass(frozen=True, eq=False)
 class LeafBatch:
     """Per-literal weights for a batch of evaluations.
 
-    ``literals`` has shape (batch, 2 * num_vars + 2). Its columns hold the
-    weights of the positive literals of variables 1..num_vars, then of
-    their negative literals, then TRUE (1) and FALSE (0): literal ``v``
-    sits in column ``v - 1`` and ``-v`` in column ``num_vars + v - 1``.
-    ``pos`` and ``neg`` are read-only views of the literal columns, shape
-    (batch, num_vars). A batch built from probabilities keeps the raw rows
-    in ``probs`` (one column per non-auxiliary variable), which is what
-    :func:`backward` differentiates with respect to; explicit-weight
-    batches (e.g. indicator encodings where the negative literal weighs 1)
-    have ``probs = None`` and support evaluation only.
+    ``literals`` is the literal table, leaf-major: a C-contiguous,
+    read-only array of shape (2 * num_vars + 2, batch), one row per literal
+    and one column per batch row. Its rows hold the weights of the
+    positive literals of variables 1..num_vars, then of their negative
+    literals, then TRUE (1) and FALSE (0): literal ``v`` sits in row
+    ``v - 1`` and ``-v`` in row ``num_vars + v - 1``. So the layer loops,
+    whose buffers hold one row per slot, fill their leaf layer with one
+    row gather. ``pos`` and ``neg`` are read-only views of the literal
+    rows, shape (batch, num_vars). A batch built from probabilities keeps
+    the raw rows in ``probs`` (one column per non-auxiliary variable),
+    which is what :func:`backward` differentiates with respect to;
+    explicit-weight batches (e.g. indicator encodings where the negative
+    literal weighs 1) have ``probs = None`` and support evaluation only.
     """
 
     num_vars: int
@@ -602,19 +630,25 @@ class LeafBatch:
         problem = _var_range_problem(self.num_vars, self.aux_vars)
         if problem:
             raise ValueError(problem)
+        shape = self.literals.shape
+        if len(shape) != 2 or shape[0] != 2 * self.num_vars + 2:
+            raise ValueError(f"a literal table of {self.num_vars} variables has shape "
+                             f"({2 * self.num_vars + 2}, batch), got {shape}")
+        if not self.literals.flags.c_contiguous:
+            object.__setattr__(self, "literals", np.ascontiguousarray(self.literals))
         self.literals.flags.writeable = False
 
     @property
     def batch_size(self) -> int:
-        return self.literals.shape[0]
+        return self.literals.shape[1]
 
     @property
     def pos(self) -> np.ndarray:
-        return self.literals[:, :self.num_vars]
+        return self.literals[:self.num_vars].T
 
     @property
     def neg(self) -> np.ndarray:
-        return self.literals[:, self.num_vars:2 * self.num_vars]
+        return self.literals[self.num_vars:2 * self.num_vars].T
 
     @classmethod
     def from_probabilities(cls, probs, num_vars: int | None = None,
@@ -631,15 +665,19 @@ class LeafBatch:
             raise ValueError(f"probability rows must be 1-D or 2-D, got shape {p.shape}")
         _PROBABILITIES.require(p)
         aux = frozenset(aux_vars)
-        b, n_inputs = p.shape
+        b, k = p.shape
         if num_vars is None:
-            num_vars = n_inputs + len(aux)
-        if num_vars != n_inputs + len(aux):
-            raise ValueError(f"{n_inputs} probability columns plus {len(aux)} auxiliaries "
+            num_vars = k + len(aux)
+        if num_vars != k + len(aux):
+            raise ValueError(f"{k} probability columns plus {len(aux)} auxiliaries "
                              f"do not cover {num_vars} variables")
-        ones = np.ones((b, len(aux)))
-        literals = np.concatenate(
-            [p, ones, 1.0 - p, ones, np.ones((b, 1)), np.zeros((b, 1))], axis=1)
+        literals = np.empty((2 * num_vars + 2, b))
+        literals[:k] = p.T
+        np.subtract(1.0, p.T, out=literals[num_vars:num_vars + k])
+        if aux:
+            literals[k:num_vars] = 1.0
+            literals[num_vars + k:2 * num_vars] = 1.0
+        literals[-2:] = _CONSTANTS
         return cls(num_vars=num_vars, aux_vars=aux, literals=literals, probs=p)
 
     @classmethod
@@ -656,7 +694,10 @@ class LeafBatch:
         _WEIGHTS.require(wp, "positive weight")
         _WEIGHTS.require(wn, "negative weight")
         b, num_vars = wp.shape
-        literals = np.concatenate([wp, wn, np.ones((b, 1)), np.zeros((b, 1))], axis=1)
+        literals = np.empty((2 * num_vars + 2, b))
+        literals[:num_vars] = wp.T
+        literals[num_vars:2 * num_vars] = wn.T
+        literals[-2:] = _CONSTANTS
         return cls(num_vars=num_vars, aux_vars=frozenset(aux_vars), literals=literals)
 
 
@@ -690,12 +731,11 @@ def _forward(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring) -> np.ndarr
     """The forward buffer of the rows of a literal table (see LeafBatch):
     every slot, the pads, then the work rows of the CAT leaf map."""
     cats, n = lc.cats, lc.n_slots
-    buf = np.empty((n + 2 + (0 if cats is None else 3 * cats.grid), len(literals)),
-                   dtype=sr.dtype)
-    # take along axis 1: on sum-999's 128-column table at 8192 rows it
-    # gathers about 4x faster than literals[:, leaf_cols]
-    buf[:lc.n_leaves] = sr.leaf(literals.take(lc.leaf_cols, axis=1).T)
-    buf[n:n + 2] = sr.leaf(literals[:, -2:].T)  # the pads: TRUE, FALSE
+    B = literals.shape[1]
+    buf = np.empty((n + 2 + (0 if cats is None else 3 * cats.grid), B), dtype=sr.dtype)
+    # the table is leaf-major: one row gather fills the leaf layer
+    buf[:lc.n_leaves] = sr.leaf(literals.take(lc.leaf_cols, axis=0, mode="clip"))
+    buf[n:n + 2] = sr.leaf(literals[-2:])  # the pads: TRUE, FALSE
     if cats is not None:
         # pos_t, L_t and R_{K-1-t} of every grid entry, gathered from the
         # leaf slots and scanned; the entry's CAT slot is pos_t * L_t * R_t
@@ -708,11 +748,9 @@ def _forward(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring) -> np.ndarr
         grid = buf[lc.n_leaves:lc.n_leaves + K * G].reshape(K, G, -1)
         sr.mul(work[:, 0], work[:, 1], out=grid)
         sr.mul(grid, work[::-1, 2], out=grid)
-    layout = lc._layout_for(len(literals))
-    for layer, buckets in zip(lc.layers, layout.buckets):
-        op = sr.mul if layer.kind == "PROD" else sr.add
-        for start, stop, children, _ in buckets:
-            _reduce(op, buf.take(children, axis=0, mode="clip"), buf[start:stop])
+    take, ops = buf.take, (sr.add, sr.mul)
+    for prod, start, stop, children in lc._layout_for(B).forward:
+        _reduce(ops[prod], take(children, axis=0, mode="clip"), buf[start:stop])
     return buf
 
 
@@ -732,7 +770,7 @@ def _underflowed(lc: LayeredCircuit, literals: np.ndarray, values: np.ndarray,
     if not lost.any():
         return []
     rows = [np.flatnonzero(column) for column in lost.T]
-    return [r[(literals[r][:, cols] != 0.0).all(axis=1)]
+    return [r[(literals[:, r][cols] != 0.0).all(axis=0)]
             for r, cols in zip(rows, lc.root_cols)]
 
 
@@ -765,15 +803,15 @@ def _tiles(lc: LayeredCircuit, batch_size: int) -> list[slice]:
 def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
     """``run``'s outputs for every row of a literal table, computed tile by
     tile, each tile's rows routed by :func:`_routed`."""
-    tiles = _tiles(lc, len(literals))
+    B = literals.shape[1]
+    tiles = _tiles(lc, B)
     if len(tiles) == 1:
         return _routed(lc, literals, sr, run)
     outs = None
     for tile in tiles:
-        parts = _routed(lc, literals[tile], sr, run)
+        parts = _routed(lc, literals[:, tile], sr, run)
         if outs is None:
-            outs = [np.empty_like(part, shape=(len(literals), *part.shape[1:]))
-                    for part in parts]
+            outs = [np.empty_like(part, shape=(B, *part.shape[1:])) for part in parts]
         for out, part in zip(outs, parts):
             out[tile] = part
     return tuple(outs)
@@ -783,7 +821,7 @@ def _routed(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tupl
     """``run``'s outputs for every row of a literal table, each row run on
     ``sr`` or, where :func:`_in_range` proves that exact, on its ``image_of``.
 
-    ``run(lc, rows, sr, lin)`` takes a row block of the table and returns
+    ``run(lc, rows, sr, lin)`` takes a column block of the table and returns
     a tuple of arrays with one entry per row along axis 0: with ``lin``
     None it runs on ``sr``, otherwise on ``lin`` with its outputs mapped
     into ``sr``. A row runs on ``sr`` when some root fails and on ``lin``
@@ -800,13 +838,13 @@ def _routed(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tupl
     if not ok.any():
         return run(lc, literals, sr, None)
     slow, fast = ~ok.all(axis=1), ok.any(axis=1)
-    parts = run(lc, literals[slow], sr, None)
-    outs = [np.empty_like(part, shape=(len(literals), *part.shape[1:])) for part in parts]
+    parts = run(lc, literals[:, slow], sr, None)
+    outs = [np.empty_like(part, shape=(len(ok), *part.shape[1:])) for part in parts]
     for out, part in zip(outs, parts):
         out[slow] = part
     # the slots of a root that failed may overflow in a row that runs here
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = run(lc, literals[fast], sr, lin)
+        parts = run(lc, literals[:, fast], sr, lin)
     for out, part in zip(outs, parts):
         out[fast] = np.where(ok[fast], part, out[fast])
     return tuple(outs)
@@ -814,13 +852,13 @@ def _routed(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tupl
 
 def _range_table(lc: LayeredCircuit) -> tuple[np.ndarray, np.ndarray]:
     """Per root, which variables its circuit reads, 1 or 0, negated for the
-    lower exponent sum, shape (2, num_vars, roots); and the limits of the
-    negated lower and of the upper exponent sum, shape (2, 1, roots)."""
+    lower exponent sum, shape (2, roots, num_vars); and the limits of the
+    negated lower and of the upper exponent sum, shape (2, roots, 1)."""
     nv = lc.num_vars
-    reads = (lc.root_cols[:, :nv] | lc.root_cols[:, nv:2 * nv]).T.astype(np.int64)
-    count = reads.sum(axis=0)
+    reads = (lc.root_cols[:, :nv] | lc.root_cols[:, nv:2 * nv]).astype(np.int64)
+    count = reads.sum(axis=1)
     return (np.stack([-reads, reads]),
-            np.stack([_RANGE_EXP - 1023 * count, _RANGE_EXP + 1022 * count])[:, None])
+            np.stack([_RANGE_EXP - 1023 * count, _RANGE_EXP + 1022 * count])[:, :, None])
 
 
 def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
@@ -837,8 +875,8 @@ def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
     """
     nv = lc.num_vars
     reads, limits = lc._range_table
-    pos, neg = literals[:, :nv], literals[:, nv:2 * nv]
-    bounds = np.empty((2, len(literals), nv))
+    pos, neg = literals[:nv], literals[nv:2 * nv]
+    bounds = np.empty((2, nv, literals.shape[1]))
     lo, hi = bounds
     np.minimum(pos, neg, out=lo)
     with np.errstate(over="ignore"):  # an infinite sum is out of range
@@ -851,9 +889,12 @@ def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
     exps = bounds.view(np.int64)
     exps[1] -= 1
     exps >>= 52
-    # one matmul and one comparison for both sums, the lower one negated
-    ok = np.matmul(exps, reads) <= limits
-    return ok[0] & ok[1]
+    # one contraction and one comparison for both sums, the lower one
+    # negated; integer sums are exact in any order, and einsum sums the
+    # (num_vars, batch) halves row by row where the int64 matmul would
+    # stride down their columns, 8 times slower at 8192 rows
+    ok = np.einsum("krn,knb->krb", reads, exps) <= limits
+    return (ok[0] & ok[1]).T
 
 
 def _tile_values(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, lin):
@@ -959,32 +1000,31 @@ def _reverse(lc: LayeredCircuit, buf: np.ndarray, sr: Semiring) -> np.ndarray:
     layout = lc._layout_for(B)
     adj = np.empty((layout.n_rows, B), dtype=sr.dtype)
     adj[lc.n_slots:lc.n_slots + 2] = ((sr.one,), (sr.zero,))
+    take, mul, add = adj.take, sr.mul, sr.add
     # top down through every layer above the leaves, which are layer 0
-    for layer, buckets, pulls in zip(lc.layers[:0:-1], layout.buckets[:0:-1],
-                                     layout.pulls[:0:-1]):
-        for slots, rows in pulls:
-            adj[slots] = adj.take(rows[0], axis=0, mode="clip") if len(rows) == 1 else \
-                _reduce(sr.add, adj.take(rows, axis=0, mode="clip"))
-        if layer.kind != "PROD":
-            continue
-        for start, stop, children, first_row in buckets:
+    for step in layout.reverse:
+        if step[0] == _PULL:
+            _, slots, rows = step
+            adj[slots] = take(rows, axis=0, mode="clip") if rows.ndim == 1 else \
+                _reduce(add, take(rows, axis=0, mode="clip"))
+        else:
             # edge k of a node: the node's adjoint times the product of the
             # children before k (prefix scan) and after k (suffix scan)
-            fanin, m = children.shape
-            out = adj[first_row:first_row + fanin * m].reshape(fanin, m, B)
+            _, lo, hi, fanin, m, start, stop, head, tail = step
+            out = adj[lo:hi].reshape(fanin, m, B)
             out[0] = adj[start:stop]
-            buf.take(children[:-1], axis=0, out=out[1:], mode="clip")
-            _scan(sr.mul, out)
-            suffix = buf.take(children[:0:-1], axis=0, mode="clip")
-            _scan(sr.mul, suffix)
-            sr.mul(out[:-1], suffix[::-1], out=out[:-1])
+            buf.take(head, axis=0, out=out[1:], mode="clip")
+            _scan(mul, out)
+            suffix = buf.take(tail, axis=0, mode="clip")
+            _scan(mul, suffix)
+            mul(out[:-1], suffix[::-1], out=out[:-1])
     if lc.cats is not None:
         _cat_reverse(lc, buf, adj, sr)
     # the leaf pulls leave the semiring: finish each in-edge, sum linearly
-    for slots, rows in layout.pulls[0]:
-        adj[slots] = sr.finish(adj.take(rows[0], axis=0, mode="clip"), root) \
-            if len(rows) == 1 else \
-            _reduce(np.add, sr.finish(adj.take(rows, axis=0, mode="clip"), root))
+    finish = sr.finish
+    for slots, rows in layout.leaf_pulls:
+        adj[slots] = finish(take(rows, axis=0, mode="clip"), root) if rows.ndim == 1 else \
+            _reduce(np.add, finish(take(rows, axis=0, mode="clip"), root))
     return adj
 
 
@@ -1003,6 +1043,7 @@ def _cat_reverse(lc: LayeredCircuit, buf: np.ndarray, adj: np.ndarray, sr: Semir
     cats = lc.cats
     K, _, G = cats.table.shape
     B = buf.shape[1]
+    mul, add = sr.mul, sr.add
     work = buf[lc.n_slots + 2:].reshape(K, 3, G, B)
     pos, left, right = work[:, 0], work[:, 1], work[::-1, 2]
     alpha = adj[lc.n_leaves:lc.n_leaves + K * G].reshape(K, G, B)
@@ -1011,20 +1052,20 @@ def _cat_reverse(lc: LayeredCircuit, buf: np.ndarray, adj: np.ndarray, sr: Semir
     # c_t * L_t and, reversed, c_t * R_t feed F and H; acc holds F_t and
     # H_{K-1-t}, and neg the matching negative literals
     feed, acc, neg = rows[2 * K * G:].reshape(3, K, 2, G, B)
-    sr.mul(alpha, left, out=feed[:, 0])
-    sr.mul(feed[:, 0], right, out=out[0])
-    sr.mul(feed[:, 0], pos, out=feed[:, 0])
-    sr.mul(alpha[::-1], pos[::-1], out=feed[:, 1])
-    sr.mul(feed[:, 1], work[:, 2], out=feed[:, 1])
-    buf[:lc.n_slots + 2].take(cats.neg.ravel(), axis=0, out=neg.reshape(2 * K * G, B),
-                              mode="clip")
+    ahead, behind = feed[:, 0], feed[:, 1]
+    mul(alpha, left, ahead)
+    mul(ahead, right, out[0])
+    mul(ahead, pos, ahead)
+    mul(alpha[::-1], pos[::-1], behind)
+    mul(behind, work[:, 2], behind)
+    buf[:lc.n_slots + 2].take(cats.neg, axis=0, out=neg.reshape(2 * K * G, B), mode="clip")
     acc[0] = sr.zero
-    for t in range(K - 1):
-        sr.mul(acc[t], neg[t], out=acc[t + 1])
-        sr.add(acc[t + 1], feed[t], out=acc[t + 1])
-    sr.mul(acc[:, 0], right, out=out[1])
-    sr.mul(left, acc[::-1, 1], out=feed[:, 0])
-    sr.add(out[1], feed[:, 0], out=out[1])
+    for a, n, step, f in zip(acc, neg, acc[1:], feed):
+        mul(a, n, step)
+        add(step, f, step)
+    mul(acc[:, 0], right, out[1])
+    mul(left, acc[::-1, 1], ahead)
+    add(out[1], ahead, out[1])
 
 
 def _tile_values_and_grads(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, lin):

@@ -157,8 +157,9 @@ class Carrier:
         batch and the other axes flatten to 1-based variables; an array of
         fewer than two axes is one row.
         """
-        bad = ~self.contains(values)
-        if bad.any():
+        ok = self.contains(values)
+        if not ok.all():
+            bad = ~ok
             rows = bad.reshape(len(bad) if bad.ndim > 1 else 1, -1)
             b, j = map(int, np.argwhere(rows)[0])
             value = float(values.reshape(rows.shape)[b, j])

@@ -17,6 +17,7 @@ as auxiliary variables.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -66,11 +67,17 @@ def _loss_batch(back: CircuitBackend, prob_rows) -> LeafBatch:
     return batch
 
 
-def _warn_infinite(per_row: np.ndarray) -> None:
-    inf_rows = np.nonzero(np.isinf(per_row))[0]
-    if inf_rows.size:
-        warnings.warn(f"semantic loss is infinite for rows {inf_rows.tolist()} "
-                      f"(constraint probability is zero)", stacklevel=3)
+def _mean_loss(per_row: np.ndarray) -> float:
+    """The mean of the per-row losses, ``np.mean``'s sum over the count;
+    warns naming the infinite rows, which only a mean that is not finite
+    can have."""
+    loss = float(np.add.reduce(per_row) / len(per_row))
+    if not math.isfinite(loss):
+        inf_rows = np.flatnonzero(np.isinf(per_row))
+        if inf_rows.size:
+            warnings.warn(f"semantic loss is infinite for rows {inf_rows.tolist()} "
+                          f"(constraint probability is zero)", stacklevel=3)
+    return loss
 
 
 def semantic_loss(m: AnnotatedModule, prob_rows) -> float:
@@ -88,9 +95,7 @@ def semantic_loss(m: AnnotatedModule, prob_rows) -> float:
     """
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)
-    per_row = -evaluate(back.layered, batch, "log_probability")
-    _warn_infinite(per_row)
-    return float(np.mean(per_row))
+    return _mean_loss(-evaluate(back.layered, batch, "log_probability"))
 
 
 def semantic_loss_and_grad(m: AnnotatedModule, prob_rows) -> tuple[float, np.ndarray]:
@@ -103,9 +108,7 @@ def semantic_loss_and_grad(m: AnnotatedModule, prob_rows) -> tuple[float, np.nda
     back = _circuit_backend(m)
     batch = _loss_batch(back, prob_rows)
     value, grad = _value_and_grad(back.layered, batch, "log_probability")
-    per_row = -value
-    _warn_infinite(per_row)
-    return float(np.mean(per_row)), -grad
+    return _mean_loss(-value), -grad
 
 
 def descend_semantic_loss(m: AnnotatedModule, start, steps: int = 100,

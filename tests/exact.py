@@ -45,12 +45,13 @@ def _extremes(table: np.ndarray) -> list:
 
 def exact_pass(lc, literals: np.ndarray) -> Exact:
     """The exact forward and reverse pass of a one-root table on the rows
-    of ``literals`` (a ``LeafBatch.literals`` table); both layouts give
-    the same rationals, so the merged one of a small batch is used."""
+    of ``literals`` (a ``LeafBatch.literals`` table, one column per row);
+    both layouts give the same rationals, so the merged one of a small
+    batch is used."""
     buf = layered._forward(lc, literals, EXACT)
     adj = layered._reverse(lc, buf, EXACT)
     nv, k = lc.num_vars, lc.n_inputs
-    table = np.full((2 * nv + 2, len(literals)), Fraction(0), dtype=object)
+    table = np.full((2 * nv + 2, literals.shape[1]), Fraction(0), dtype=object)
     table[lc.leaf_cols] = adj[:lc.n_leaves]
     return Exact(values=list(buf[lc.root_slots[0]]), literal_adj=table,
                  grad=(table[:k] - table[nv:nv + k]).T,
@@ -65,7 +66,7 @@ def row_bounds(lc, literals: np.ndarray) -> list:
     nv = lc.num_vars
     reads = np.flatnonzero(lc.root_cols[0, :nv] | lc.root_cols[0, nv:2 * nv])
     out = []
-    for row in literals:
+    for row in literals.T:
         lo = hi = Fraction(1)
         for v in reads:
             p, n = Fraction(row[v]), Fraction(row[nv + v])

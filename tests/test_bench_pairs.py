@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -102,20 +103,32 @@ print(json.dumps({{"correct": True, "attempted": 7, "failed": 0, "metrics": {{
 '''
 
 
+def _git(path, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                           *args], cwd=path, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def test_script_runs_alternating_pairs_and_writes_the_record(tmp_path):
-    """Two fake checkouts whose run.py prints a fixed result line."""
+    """Two fake checkouts whose run.py prints a fixed result line; the
+    change is a git checkout at one commit, the parent a plain directory."""
     for side, step in (("parent", 10.0), ("change", 5.0)):
         (tmp_path / side / "nesybench").mkdir(parents=True)
         (tmp_path / side / "nesybench" / "run.py").write_text(FAKE_RUN.format(side_step=step))
-    (tmp_path / "change" / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": METRICS[:2]}))
+    change = tmp_path / "change"
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS[:2]}))
+    _git(change, "init", "-q")
+    _git(change, "add", "-A")
+    _git(change, "commit", "-q", "-m", "fake change")
     out = tmp_path / "BENCH_0.json"
-    assert _load().main(["--parent", str(tmp_path / "parent"),
-                         "--change", str(tmp_path / "change"), "--workloads", "modules",
-                         "--seeds", "1-2", "--seconds", "1",
-                         "--claim", "modules:step_ms_ref", "--out", str(out)]) == 0
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(change),
+            "--workloads", "modules", "--seeds", "1-2", "--seconds", "1",
+            "--claim", "modules:step_ms_ref", "--out", str(out)]
+    assert _load().main(args) == 0
     record = json.loads(out.read_text())
     assert record["host"]["cores"] >= 1 and record["host"]["numpy"] == np.__version__
+    assert record["checkouts"] == {"parent": None, "change": {
+        "commit": _git(change, "rev-parse", "HEAD"), "dirty": False}}
     assert [(r["seed"], r["side"], r["pair_first"]) for r in record["runs"]] == [
         (1, "parent", "parent"), (1, "change", "parent"),
         (2, "change", "change"), (2, "parent", "change")]
@@ -124,6 +137,11 @@ def test_script_runs_alternating_pairs_and_writes_the_record(tmp_path):
     assert step["change_wins"] == 2 and step["parent"]["median"] == 11.5
     assert record["claim"] == {"workload": "modules", "metric": "step_ms_ref",
                                "better": "lower", "met": True}
+    # a tree with an uncommitted change is dirty; a subdirectory is no checkout
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    assert _load().main(args) == 0
+    assert json.loads(out.read_text())["checkouts"]["change"]["dirty"] is True
+    assert _load().checkout_state(change / "nesybench") is None
 
 
 def test_script_imports_nothing_from_the_benchmark():

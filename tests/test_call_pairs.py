@@ -87,3 +87,43 @@ def test_module_call_is_the_one_row_call_of_a_descend_step(tmp_path, monkeypatch
         for key in [k for k in sys.modules if k.startswith(("nesycirc_parent", "nesycirc_change"))]:
             del sys.modules[key]
     assert sorted(json.loads(out.read_text())["calls"]) == ["module_call.b1"]
+
+
+def _main_records(cp, tmp_path, call) -> list:
+    """The call names of a short run of both sides, times a call or two a round."""
+    cp.BUDGET_S = 1e-4
+    out = tmp_path / "calls.json"
+    try:
+        assert cp.main(["--parent", str(ROOT), "--change", str(ROOT), "--calls", call,
+                        "--batches", "1,3", "--rounds", "2", "--out", str(out)]) == 0
+    finally:
+        for key in [k for k in sys.modules if k.startswith(("nesycirc_parent", "nesycirc_change"))]:
+            del sys.modules[key]
+    return sorted(json.loads(out.read_text())["calls"])
+
+
+def test_leaf_batch_builds_the_batchs_literal_table_again(tmp_path, monkeypatch):
+    """``leaf_batch`` is ``LeafBatch.from_probabilities`` on the batch's
+    rows: the same table, built anew each call."""
+    cp = _load(monkeypatch)
+    prepared = cp.prepare(nesycirc, [1, 3])
+    for batch in prepared["batches"].values():
+        got = cp.CALLS["leaf_batch"](nesycirc, prepared["module"], batch)
+        assert got is not batch and got.aux_vars == batch.aux_vars
+        assert np.array_equal(got.literals, batch.literals)
+    assert _main_records(cp, tmp_path, "leaf_batch") == ["leaf_batch.b1", "leaf_batch.b3"]
+
+
+def test_descend_step_is_one_step_of_projected_descent(tmp_path, monkeypatch):
+    """``descend_step`` runs the benchmark's descend step from the batch's
+    first row: its module value is that of the row one step of
+    ``descend_semantic_loss`` at its default step size and bounds, which
+    the benchmark uses, reaches, bit for bit."""
+    cp = _load(monkeypatch)
+    prepared = cp.prepare(nesycirc, [1, 3])
+    m = prepared["module"]
+    for batch in prepared["batches"].values():
+        got = cp.CALLS["descend_step"](nesycirc, m, batch)
+        _, row = nesycirc.tasks.descend_semantic_loss(m, batch.probs[0], steps=1)
+        assert np.shape(got) == () and got == m(row)
+    assert _main_records(cp, tmp_path, "descend_step") == ["descend_step.b1", "descend_step.b3"]

@@ -103,7 +103,7 @@ def test_float_passes_within_their_forward_error_bounds(circuits, name):
     rows[:2] = np.round(rows[:2])  # corners: zero counts, or one model at weight one
     batch = _batch(lc, rows)
     checked = CHECKED.get(name, ROWS)
-    ex = exact_pass(lc, batch.literals[:checked])
+    ex = exact_pass(lc, batch.literals[:, :checked])
     n = operations(lc)
     k, nv = lc.n_inputs, lc.num_vars
     spread = (ex.literal_adj[:k] + ex.literal_adj[nv:nv + k]).T  # d/dpos + d/dneg
@@ -150,8 +150,8 @@ def test_in_range_bounds_contain_the_exact_extremes(circuits, name):
     for literals in (LeafBatch.from_weights(pos, neg, aux_vars=lc.aux_vars).literals, probs):
         ok = _in_range(lc, literals)[:, 0]
         assert ok.any()
-        ex = exact_pass(lc, literals[ok])
-        for (lo, hi), slots, adjoints in zip(row_bounds(lc, literals[ok]), ex.slots,
+        ex = exact_pass(lc, literals[:, ok])
+        for (lo, hi), slots, adjoints in zip(row_bounds(lc, literals[:, ok]), ex.slots,
                                              ex.adjoints):
             for smallest, largest in (slots, adjoints):
                 assert lo <= smallest <= largest <= hi

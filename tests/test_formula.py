@@ -1,6 +1,7 @@
 """Parsers, normal forms, and the brute-force oracles they are checked by."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -293,6 +294,54 @@ def test_deep_formula_evaluates_without_recursion():
     assert brute_force_models(f) == [{1: True, 2: True}]
     with pytest.raises(ValueError, match="missing assignment for variable 2"):
         eval_assignment(Or(TRUE, Var(2)), {1: True})
+
+
+def _and_chain(n: int, leaf: Formula = Var(1)) -> Formula:
+    f = leaf
+    for _ in range(n):
+        f = And(Var(2), f)
+    return f
+
+
+def test_deep_formula_hashes_compares_and_prints_without_recursion():
+    """A 3000-deep ``And`` chain, where the dataclass ``hash``, ``==`` and
+    ``repr`` raised RecursionError: two chains built apart hash and compare
+    equal, a chain with another leaf or of another depth does not, and the
+    repr is the dataclass one, nested 3000 times."""
+    f, g = _and_chain(3000), _and_chain(3000)
+    assert f is not g and hash(f) == hash(g) and f == g and not f != g
+    assert f != _and_chain(3000, Var(3)) and f != _and_chain(2999)
+    assert f != Or(Var(2), f.right) and f != "And"
+    assert {f: 1}[g] == 1
+    assert repr(f) == "And(left=Var(id=2, name=None), right=" * 3000 \
+        + "Var(id=1, name=None)" + ")" * 3000
+
+
+def test_shallow_formulas_keep_the_dataclass_repr_and_equality():
+    a, b = Var(1, "a"), Var(2, "b")
+    f = Iff(Implies(a, FALSE), Not(And(b, Or(a, TRUE))))
+    assert repr(f) == ("Iff(left=Implies(left=Var(id=1, name='a'), right=FalseF()), "
+                       "right=Not(child=And(left=Var(id=2, name='b'), "
+                       "right=Or(left=Var(id=1, name='a'), right=TrueF()))))")
+    assert f == Iff(Implies(Var(1, "a"), FALSE), Not(And(b, Or(a, TRUE))))
+    assert And(a, b) != Or(a, b) and And(a, b) != And(b, a) and And(a, b) != And(a, Var(2))
+    assert repr(And(1, "x")) == "And(left=1, right='x')"
+
+
+def test_nested_equivalences_hash_in_linear_time():
+    """The NNF of x0 <-> ... <-> x21 is a DAG of about 130 nodes whose tree
+    has more than 2^22: one hash reaches every connective once and caches
+    its hash, and two NNFs converted apart compare equal in as little
+    time; the dataclass hash unfolded the tree, some 5 s."""
+    names = [f"x{i}" for i in range(22)]
+    table = make_name_table(names)
+    text = " <-> ".join(names)
+    nnf, other = to_nnf(parse_formula(text, table)), to_nnf(parse_formula(text, table))
+    t0 = time.perf_counter()
+    assert hash(nnf) == hash(other) and nnf == other
+    assert time.perf_counter() - t0 < 1.0
+    nodes, kids = _walk(nnf)
+    assert all("_hash" in vars(node) for node, ks in zip(nodes, kids) if ks)
 
 
 def _distinct_nodes(f) -> int:

@@ -630,10 +630,53 @@ def test_leaf_batch_input_checks():
                                          "do not cover 4 variables"):
         LeafBatch.from_probabilities([0.5, 0.5], num_vars=4, aux_vars={3})
     batch = LeafBatch.from_weights([0.25, 1.0], [0.75, 0.5])
-    assert batch.literals.shape == (1, 6) and batch.num_vars == 2
+    assert batch.literals.shape == (6, 1) and batch.num_vars == 2
     assert np.array_equal(batch.pos, [[0.25, 1.0]]) and np.array_equal(batch.neg, [[0.75, 0.5]])
     with pytest.raises(ValueError, match="must share a 2-D shape"):
         LeafBatch.from_weights([[0.5, 0.5]], [[0.5, 0.5, 0.5]])
+
+
+def test_literal_table_is_leaf_major():
+    """``LeafBatch.literals`` is (2 * num_vars + 2, batch), C-contiguous and
+    read-only: literal v in row v - 1, -v in row num_vars + v - 1, then
+    TRUE and FALSE, one column per batch row. ``pos``, ``neg``, ``probs``
+    and ``backward``'s output keep their (batch, ...) shapes and values.
+    The circuit is x1 | x2 with the auxiliary x3 = x1, so its count is
+    1 - (1 - p1)(1 - p2) and its gradient (1 - p2, 1 - p1)."""
+    rows = np.array([[0.1, 0.7], [0.4, 0.0], [1.0, 0.25]])
+    wp, wn = np.array([[0.5, 2.0, 0.0], [1.5, 0.25, 3.0]]), np.array([[1.0, 0.0, 4.0],
+                                                                       [0.5, 1.0, 1.0]])
+    cases = [  # batch, positive and negative weights per (row, variable), probs
+        (LeafBatch.from_probabilities(rows, aux_vars={3}), np.c_[rows, np.ones(3)],
+         np.c_[1.0 - rows, np.ones(3)], rows),
+        (LeafBatch.from_probabilities(rows[0], aux_vars={3}), np.c_[rows[:1], [1.0]],
+         np.c_[1.0 - rows[:1], [1.0]], rows[:1]),
+        (LeafBatch.from_weights(wp, wn), wp, wn, None),
+    ]
+    for batch, pos, neg, probs in cases:
+        (b, nv), table = pos.shape, batch.literals
+        assert table.shape == (2 * nv + 2, b) and batch.batch_size == b
+        assert table.flags.c_contiguous and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+        for v in range(1, nv + 1):
+            assert np.array_equal(table[v - 1], pos[:, v - 1])
+            assert np.array_equal(table[nv + v - 1], neg[:, v - 1])
+        assert np.array_equal(table[-2:], [[1.0] * b, [0.0] * b])
+        assert batch.pos.shape == batch.neg.shape == (b, nv)
+        assert np.array_equal(batch.pos, pos) and np.array_equal(batch.neg, neg)
+        assert not batch.pos.flags.writeable and not batch.neg.flags.writeable
+        assert (batch.probs is None) == (probs is None)
+        if probs is not None:
+            assert batch.probs.shape == (b, 2) and np.array_equal(batch.probs, probs)
+            lc = layerize(compile_cnf(CNF(3, ((1, 2), (-3, 1), (3, -1)), aux_vars={3})))
+            p1, p2 = probs.T
+            assert np.allclose(evaluate(lc, batch), 1.0 - (1.0 - p1) * (1.0 - p2))
+            grad = backward(lc, batch)
+            assert grad.shape == (b, 2)
+            assert np.allclose(grad, np.c_[1.0 - p2, 1.0 - p1], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match=r"has shape \(6, batch\), got \(1, 6\)"):
+        LeafBatch(num_vars=2, aux_vars=frozenset(), literals=np.ones((1, 6)))
 
 
 def test_reverse_pass_buffers_take_the_semirings_dtype():
