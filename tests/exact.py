@@ -52,7 +52,7 @@ def exact_pass(lc, literals: np.ndarray) -> Exact:
     adj = layered._reverse(lc, buf, EXACT)
     nv, k = lc.num_vars, lc.n_inputs
     table = np.full((2 * nv + 2, literals.shape[1]), Fraction(0), dtype=object)
-    table[lc.leaf_cols] = adj[:lc.n_leaves]
+    table[lc.leaf_rows] = adj[:lc.n_leaves]
     return Exact(values=list(buf[lc.root_slots[0]]), literal_adj=table,
                  grad=(table[:k] - table[nv:nv + k]).T,
                  slots=_extremes(buf), adjoints=_extremes(adj))
@@ -64,7 +64,7 @@ def row_bounds(lc, literals: np.ndarray) -> list:
     positive weight of each variable's two literals (at most one), and of
     the sums of its literals' weights (at least one)."""
     nv = lc.num_vars
-    reads = np.flatnonzero(lc.root_cols[0, :nv] | lc.root_cols[0, nv:2 * nv])
+    reads = np.flatnonzero(lc.root_rows[0, :nv] | lc.root_rows[0, nv:2 * nv])
     out = []
     for row in literals.T:
         lo = hi = Fraction(1)

@@ -92,7 +92,7 @@ def test_layered_equals_recursive(cnf, seed):
     lc = layerize(c)
     # one leaf slot per literal or constant, which compile_cnf memoizes, and
     # per literal of a group that CAT leaves read
-    assert np.all(np.diff(lc.leaf_cols) > 0)
+    assert np.all(np.diff(lc.leaf_rows) > 0)
     assert lc.n_leaves == sum(node.kind in ("LIT", "TRUE", "FALSE") for node in c.nodes) \
         + 2 * sum(map(len, c.groups))
     rng = np.random.default_rng(seed)
@@ -463,7 +463,7 @@ def test_duplicate_leaves_share_one_slot(b):
     lc = layerize(c)
     # x1, x2, ~x1, ~x2 and TRUE
     assert lc.n_leaves == 5
-    assert lc.leaf_cols.tolist() == [0, 1, 2, 3, 4]
+    assert lc.leaf_rows.tolist() == [0, 1, 2, 3, 4]
     rng = np.random.default_rng(b)
     rows = _corner_rows(rng, b, 2)
     batch = LeafBatch.from_probabilities(rows)
