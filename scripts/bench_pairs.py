@@ -7,10 +7,9 @@ the parent first, even seeds the change. The record written to ``--out``
 (``BENCH_<n>.json`` by convention) holds the host (CPU, core count, Python
 and numpy versions), the commit each checkout is at and whether its tree
 has changes (null for a directory that is not a git checkout), every run,
-and per workload and end-to-end metric the
-quartiles of each side, the change's wins and ties over the pairs, the
-parent's interquartile range, and whether the change stays within the
-metric's bound. With ``--claim W:metric`` it also says whether the claim
+and per workload and end-to-end metric the quartiles of each side, the
+change's wins and ties over the pairs, the parent's interquartile range,
+and whether the change stays within the metric's bound. With ``--claim W:metric`` it also says whether the claim
 holds: the change better in at least nine pairs of ten, and its median
 better than the parent's by more than the parent's interquartile range.
 

@@ -675,18 +675,18 @@ class LeafBatch:
             raise ValueError(f"probability rows must be 1-D or 2-D, got shape {p.shape}")
         _PROBABILITIES.require(p)
         aux = frozenset(aux_vars)
-        b, k = p.shape
+        b, n_inputs = p.shape
         if num_vars is None:
-            num_vars = k + len(aux)
-        if num_vars != k + len(aux):
-            raise ValueError(f"{k} probability columns plus {len(aux)} auxiliaries "
+            num_vars = n_inputs + len(aux)
+        if num_vars != n_inputs + len(aux):
+            raise ValueError(f"{n_inputs} probability columns plus {len(aux)} auxiliaries "
                              f"do not cover {num_vars} variables")
         literals = np.empty((2 * num_vars + 2, b))
-        literals[:k] = p.T
-        np.subtract(1.0, p.T, out=literals[num_vars:num_vars + k])
-        if aux:
-            literals[k:num_vars] = 1.0
-            literals[num_vars + k:2 * num_vars] = 1.0
+        literals[:n_inputs] = p.T
+        np.subtract(1.0, p.T, out=literals[num_vars:num_vars + n_inputs])
+        if aux:  # auxiliaries weigh one on both literals
+            literals[n_inputs:num_vars] = 1.0
+            literals[num_vars + n_inputs:2 * num_vars] = 1.0
         literals[-2:] = _CONSTANTS
         return cls(num_vars=num_vars, aux_vars=aux, literals=literals, probs=p)
 
@@ -770,13 +770,12 @@ def _underflowed(lc: LayeredCircuit, literals: np.ndarray, values: np.ndarray,
     """Per root, the rows whose value underflowed to zero; an empty list
     when no value reads ``zero``.
 
-    ``values`` holds each root's value per batch row of the literal table,
-    one per column, shape
-    (batch, roots). A smooth d-DNNF is satisfiable unless it has a FALSE
-    leaf, so a row whose root reads the semiring zero while none of the
-    leaf weights of the root's circuit is zero (a leaf reads the semiring
-    zero exactly when its weight is zero) has a nonzero true value that
-    was lost to rounding.
+    ``values`` holds each root's value per batch row, a column of the
+    literal table, shape (batch, roots). A smooth d-DNNF is satisfiable
+    unless it has a FALSE leaf, so a row whose root reads the semiring
+    zero while none of the leaf weights of the root's circuit is zero (a
+    leaf reads the semiring zero exactly when its weight is zero) has a
+    nonzero true value that was lost to rounding.
     """
     lost = values == zero
     if not lost.any():
@@ -813,8 +812,8 @@ def _tiles(lc: LayeredCircuit, batch_size: int) -> list[slice]:
 
 
 def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
-    """``run``'s outputs for every batch row of a literal table, computed tile by
-    tile, each tile's rows routed by :func:`_routed`."""
+    """``run``'s outputs for every batch row of a literal table, computed
+    tile by tile, each tile's rows routed by :func:`_routed`."""
     B = literals.shape[1]
     tiles = _tiles(lc, B)
     if len(tiles) == 1:
@@ -830,8 +829,9 @@ def _by_tiles(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tu
 
 
 def _routed(lc: LayeredCircuit, literals: np.ndarray, sr: Semiring, run) -> tuple:
-    """``run``'s outputs for every batch row of a literal table, each row run on
-    ``sr`` or, where :func:`_in_range` proves that exact, on its ``image_of``.
+    """``run``'s outputs for every batch row of a literal table, each row
+    run on ``sr`` or, where :func:`_in_range` proves that exact, on its
+    ``image_of``.
 
     ``run(lc, rows, sr, lin)`` takes a column block of the table and returns
     a tuple of arrays with one entry per row along axis 0: with ``lin``
@@ -874,10 +874,10 @@ def _range_table(lc: LayeredCircuit) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_range(lc: LayeredCircuit, literals: np.ndarray) -> np.ndarray:
-    """Per batch row of a literal table and root, shape (batch, roots): whether
-    the row's weights prove every slot of the root's circuit an exact zero
-    or a float within 2**-_RANGE_EXP and 2**_RANGE_EXP (see the module
-    notes).
+    """Per batch row of a literal table and root, shape (batch, roots):
+    whether the row's weights prove every slot of the root's circuit an
+    exact zero or a float within 2**-_RANGE_EXP and 2**_RANGE_EXP (see the
+    module notes).
 
     The two bounds are products over the variables the root's circuit
     reads, kept as integer sums of binary exponents, each rounded outward;
