@@ -279,6 +279,11 @@ class Formula:
                 hashes.append(h)
         return h
 
+    def __getstate__(self) -> dict:
+        # class and string hashes change from process to process, so a
+        # cached hash does not travel in a pickle or a copy
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True

@@ -1,6 +1,10 @@
 """Parsers, normal forms, and the brute-force oracles they are checked by."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -342,6 +346,24 @@ def test_nested_equivalences_hash_in_linear_time():
     assert time.perf_counter() - t0 < 1.0
     nodes, kids = _walk(nnf)
     assert all("_hash" in vars(node) for node, ks in zip(nodes, kids) if ks)
+
+
+def test_a_pickled_formula_hashes_as_one_built_where_it_is_loaded():
+    """The hash cached on a connective holds only in the process that
+    computed it (class and string hashes change from process to process),
+    so a pickle leaves it out: the formula, loaded in a process of another
+    hash seed, hashes and compares like one built there."""
+    f = And(Var(1, "a"), Or(Var(2, "b"), Not(Var(1, "a"))))
+    hash(f)
+    code = ("import pickle, sys\n"
+            "from nesycirc.formula import And, Not, Or, Var\n"
+            "f = pickle.loads(sys.stdin.buffer.read())\n"
+            f"g = {f!r}\n"
+            "print(hash(f) == hash(g), f == g, {g: 1}.get(f))")
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f),
+                          capture_output=True, env={**os.environ, "PYTHONHASHSEED": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"True", b"1"]
 
 
 def _distinct_nodes(f) -> int:
